@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DecodeError, EncodeError
 
 LEVEL_LIMIT = 1 << 15
+MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
+_MAX_CODE_BITS = 2 * MAX_PREFIX_ZEROS + 1
 
 
 class BitWriter:
@@ -96,10 +98,10 @@ class BitReader:
             raise DecodeError(f"invalid exp-Golomb prefix at bit offset {pos}")
         zeros = avail - window.bit_length()
         need = 2 * zeros + 1
-        if need > avail:
-            if 8 * byte0 + (pos & 7) + avail < self._total:
-                raise DecodeError(f"exp-Golomb value too large at bit offset {pos}")
+        if need > avail and pos + avail >= self._total:
             raise DecodeError(f"bitstream truncated at bit offset {pos}")
+        if need > avail or zeros > MAX_PREFIX_ZEROS:
+            raise DecodeError(f"exp-Golomb value too large at bit offset {pos}")
         self._pos = pos + need
         return (window >> (avail - need)) - 1
 
@@ -107,11 +109,100 @@ class BitReader:
         v = self.read_ue()
         return (v + 1) >> 1 if v & 1 else -(v >> 1)
 
+    def read_levels(self, count: int) -> np.ndarray:
+        """The next `count` coefficient levels (signed exp-Golomb, magnitude
+        at most LEVEL_LIMIT).
+
+        Values, final position and every DecodeError, text and bit offset,
+        are those of a read_se loop that checks each level against
+        LEVEL_LIMIT.  Codes are parsed a window at a time through a jump
+        table; read_se takes over at the first code no window can take.
+        """
+        parts = [np.zeros(0, dtype=np.int64)]
+        while count:
+            pos = self._pos
+            # Room for one longest code, so a window that takes no code
+            # means the code at pos is malformed.
+            width = min(self._total - pos, 3 * count + _MAX_CODE_BITS)
+            ends, levels = self._parse_window(pos, width, count)
+            if not len(ends):
+                break
+            bad = np.flatnonzero(np.abs(levels) > LEVEL_LIMIT)
+            if bad.size:
+                self._pos = pos + int(ends[bad[0]])
+                raise DecodeError(
+                    f"level magnitude {abs(int(levels[bad[0]]))} exceeds limit "
+                    f"at bit offset {self._pos}"
+                )
+            self._pos = pos + int(ends[-1])
+            parts.append(levels)
+            count -= len(levels)
+        for _ in range(count):
+            level = self.read_se()
+            if abs(level) > LEVEL_LIMIT:
+                raise DecodeError(
+                    f"level magnitude {abs(level)} exceeds limit at bit offset {self._pos}"
+                )
+            parts.append(np.array([level], dtype=np.int64))
+        return np.concatenate(parts)
+
+    def _parse_window(self, pos: int, width: int, count: int):
+        """End offsets (relative to pos) and signed values of the first
+        codes, at most `count`, that lie wholly in bits [pos, pos + width)
+        and have at most MAX_PREFIX_ZEROS leading zeros."""
+        # The window's bytes, zero-padded so that 8 bytes follow each.
+        chunk = self._data[pos >> 3 : (pos + width + 7) >> 3] + bytes(8)
+        chunk = np.frombuffer(chunk, dtype=np.uint8)
+        shift = pos & 7
+        bits = np.unpackbits(chunk)[shift : shift + width]
+        p = np.arange(width + 1)
+        # next_one[p]: the first 1-bit at or after p, with a 1-bit appended
+        # at `width` so that every entry is an index of the window.
+        next_one = np.where(np.append(bits, 1), p, width)
+        next_one = np.minimum.accumulate(next_one[::-1])[::-1]
+        code_end = 2 * next_one - p + 1
+        takes = (next_one - p <= MAX_PREFIX_ZEROS) & (code_end <= width)
+        # jump[p]: where the next code starts if one starts at p; width + 1
+        # stands for "no code" and maps to itself.
+        jump = np.append(np.where(takes, code_end, width + 1), width + 1)
+        # chain[i] = jump^i(0) by pointer doubling: while jump is
+        # jump^filled, it maps chain[:filled] onto the next `filled` entries.
+        chain = np.zeros(count + 1, dtype=np.intp)
+        filled = 1
+        while True:
+            step = min(filled, count + 1 - filled)
+            chain[filled : filled + step] = jump[chain[:step]]
+            filled += step
+            if filled > count:
+                break
+            jump = jump[jump]
+        taken = int(np.count_nonzero(chain[1:] <= width))
+        ends = chain[1 : taken + 1]
+        # A code's value + 1 is its bits from the first 1-bit to its end, at
+        # most 33 bits, so the 64-bit big-endian word from the byte holding
+        # that 1-bit contains them.
+        one = next_one[chain[:taken]]
+        first, nbits = shift + one, ends - one
+        words = np.lib.stride_tricks.sliding_window_view(chunk, 8)[first >> 3]
+        words = words.view(">u8").ravel().astype(np.int64)
+        ue = ((words >> (64 - (first & 7) - nbits)) & ((1 << nbits) - 1)) - 1
+        return ends, np.where(ue & 1, (ue + 1) >> 1, -(ue >> 1))
+
 
 def level_bits(level: int) -> int:
     """Exact signed exp-Golomb code length for a level."""
     mapped = 2 * abs(level) - (1 if level > 0 else 0) if level else 0
     return 2 * (mapped + 1).bit_length() - 1
+
+
+def _signed_map(levels: np.ndarray) -> np.ndarray:
+    return np.where(levels > 0, 2 * levels - 1, -2 * levels)
+
+
+def level_bits_array(levels: np.ndarray) -> np.ndarray:
+    """level_bits of each element of an integer array of magnitude below 2^51."""
+    # frexp's exponent of an integer below 2^53 is exactly its bit length
+    return 2 * np.frexp(_signed_map(levels) + 1)[1].astype(np.int64) - 1
 
 
 @lru_cache(maxsize=None)
@@ -167,8 +258,8 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
     if coded.last_significant >= 0:
         vals = coded.scan[: coded.last_significant + 1]
         # signed map then +1: the value written for each (2*width-1)-bit code
-        plus1 = np.where(vals > 0, 2 * vals - 1, -2 * vals) + 1
-        nbits = 2 * (np.floor(np.log2(plus1)).astype(np.int64) + 1) - 1
+        plus1 = _signed_map(vals) + 1
+        nbits = level_bits_array(vals)
         acc = 0
         for v, nb in zip(plus1.tolist(), nbits.tolist()):
             acc = (acc << nb) | v
@@ -183,23 +274,13 @@ def decode_block(reader: BitReader, n: int) -> np.ndarray:
         raise DecodeError(
             f"last-significant token {token} exceeds {n * n} at bit offset {reader.tell()}"
         )
-    levels = np.zeros((n, n), dtype=np.int64)
-    order = zigzag_order(n)
-    for idx in range(token):
-        level = reader.read_se()
-        if abs(level) > LEVEL_LIMIT:
-            raise DecodeError(
-                f"level magnitude {abs(level)} exceeds limit at bit offset {reader.tell()}"
-            )
-        i, j = order[idx]
-        levels[i, j] = level
-    return levels
+    levels = np.zeros(n * n, dtype=np.int64)
+    levels[_zigzag_flat(n)[:token]] = reader.read_levels(token)
+    return levels.reshape(n, n)
 
 
 def block_bits(levels: np.ndarray) -> int:
     """Size of encode_block's output without writing it."""
     coded = scan_block(levels)
-    bits = _token_bits(levels.shape[0])
-    for level in coded.scan[: coded.last_significant + 1]:
-        bits += level_bits(int(level))
-    return bits
+    levels_bits = level_bits_array(coded.scan[: coded.last_significant + 1])
+    return _token_bits(levels.shape[0]) + int(levels_bits.sum())

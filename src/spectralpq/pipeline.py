@@ -289,9 +289,8 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     return EncodeResult(writer.getvalue(), stats, recon_frames)
 
 
-def decode_sequence(data: bytes) -> list:
-    """Decode an "SPQ1" stream into frames (bit-exact encoder reconstructions)."""
-    reader = BitReader(data)
+def _read_header(reader: BitReader) -> dict:
+    """Parse and validate the container header; keys as in stream_header."""
     if reader.read_uint(32) != int.from_bytes(MAGIC, "big"):
         raise DecodeError("bad magic: not an SPQ1 stream")
     width = reader.read_uint(16)
@@ -314,6 +313,24 @@ def decode_sequence(data: bytes) -> list:
         raise DecodeError("zero frame dimensions")
     if width * height > MAX_FRAME_SAMPLES:
         raise DecodeError(f"frame size {width}x{height} exceeds the decoder limit")
+    return {
+        "width": width,
+        "height": height,
+        "bit_depth": bit_depth,
+        "fps": fps,
+        "cu_size": cu_size,
+        "mode": mode_id,
+        "base_qp": base_qp,
+        "frame_count": frame_count,
+    }
+
+
+def decode_sequence(data: bytes) -> list:
+    """Decode an "SPQ1" stream into frames (bit-exact encoder reconstructions)."""
+    reader = BitReader(data)
+    header = _read_header(reader)
+    width, height = header["width"], header["height"]
+    bit_depth, cu_size = header["bit_depth"], header["cu_size"]
 
     pw = width + (-width) % DEFAULT_CTU_SIZE
     ph = height + (-height) % DEFAULT_CTU_SIZE
@@ -323,7 +340,7 @@ def decode_sequence(data: bytes) -> list:
 
     frames = []
     prev_recon = None
-    for idx in range(frame_count):
+    for idx in range(header["frame_count"]):
         inter = reader.read_uint(1)
         if inter and prev_recon is None:
             raise DecodeError(f"frame {idx} is inter but no reference exists")
@@ -364,17 +381,5 @@ def decode_sequence(data: bytes) -> list:
 
 
 def stream_header(data: bytes) -> dict:
-    """Parse just the container header (for tooling and tests)."""
-    reader = BitReader(data)
-    if reader.read_uint(32) != int.from_bytes(MAGIC, "big"):
-        raise DecodeError("bad magic: not an SPQ1 stream")
-    return {
-        "width": reader.read_uint(16),
-        "height": reader.read_uint(16),
-        "bit_depth": reader.read_uint(8),
-        "fps": reader.read_uint(16),
-        "cu_size": reader.read_uint(8),
-        "mode": reader.read_uint(8),
-        "base_qp": reader.read_uint(8),
-        "frame_count": reader.read_uint(16),
-    }
+    """Parse and validate just the container header (for tooling and tests)."""
+    return _read_header(BitReader(data))

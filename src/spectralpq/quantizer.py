@@ -16,12 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import level_bits
+from .entropy import LEVEL_LIMIT, level_bits, level_bits_array
 from .errors import ConfigurationError
 
 QP_MIN = 0
 QP_MAX = 51
-LEVEL_LIMIT = 1 << 15
 
 # Base period, qp 0..5.  s = round(2^6 * qstep), m = round(2^20 / s).
 QSTEP_TABLE = (0.6300, 0.7071, 0.7937, 0.8909, 1.0000, 1.1225)
@@ -128,13 +127,6 @@ def rdoq_cost(x: int, level: int, qp: int, n: int, cfg: RdoqConfig) -> float:
     return err * err + cfg.lam * cfg.bit_estimator(level)
 
 
-def _level_bits_array(levels: np.ndarray) -> np.ndarray:
-    """Vectorized signed exp-Golomb lengths for nonnegative level magnitudes."""
-    mapped = np.where(levels > 0, 2 * levels - 1, 0)
-    width = np.floor(np.log2(mapped + 1)).astype(np.int64) + 1
-    return 2 * width - 1
-
-
 def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig | None = None) -> np.ndarray:
     """Per-coefficient level choice minimizing distortion + lambda * bits.
 
@@ -156,7 +148,7 @@ def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig | None = 
         recon = (levels * p.s << p.period) >> shift
         err = (ax - recon).astype(np.float64)
         if cfg.bit_estimator is level_bits:
-            bits = _level_bits_array(levels)
+            bits = level_bits_array(levels)
         else:
             bits = np.vectorize(cfg.bit_estimator, otypes=[np.int64])(levels)
         return err * err + cfg.lam * bits

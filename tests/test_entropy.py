@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from spectralpq import pipeline
 from spectralpq.entropy import (
+    LEVEL_LIMIT,
     BitReader,
     BitWriter,
+    _token_bits,
     block_bits,
     decode_block,
     encode_block,
     level_bits,
+    level_bits_array,
     scan_block,
     zigzag_order,
 )
 from spectralpq.errors import DecodeError, EncodeError
+from spectralpq.frames import Frame
+from spectralpq.pipeline import EncoderConfig, decode_sequence, encode_sequence
 
 
 def bits_of(writer: BitWriter) -> str:
@@ -45,6 +53,12 @@ def test_level_bits_matches_emitted_length():
             assert w.tell() == level_bits(signed)
         assert level_bits(level) >= prev
         prev = level_bits(level)
+
+
+def test_level_bits_array_matches_level_bits():
+    edges = [s * ((1 << k) + d) for k in range(50) for d in (-1, 0, 1) for s in (1, -1)]
+    levels = np.array(list(range(-300, 301)) + edges, dtype=np.int64)
+    assert level_bits_array(levels).tolist() == [level_bits(int(v)) for v in levels]
 
 
 def test_writer_reader_inverse_random_fields():
@@ -173,3 +187,153 @@ def test_truncation_fuzz_never_crashes():
             decode_block(BitReader(bytes(chopped)), 8)
         except DecodeError:
             pass  # clean failure is the contract; anything else would crash the test
+
+
+def _bytes_of(bits: str) -> bytes:
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+
+
+@pytest.mark.parametrize("align", range(8))
+@pytest.mark.parametrize("zeros", range(32, 37))
+def test_prefix_limit_independent_of_alignment(align, zeros):
+    data = _bytes_of("1" * align + "0" * zeros + "1" + "0" * zeros + "1" * 16)
+    reader = BitReader(data)
+    reader.read_uint(align)
+    if zeros <= 32:
+        assert reader.read_ue() == (1 << zeros) - 1
+        assert reader.tell() == align + 2 * zeros + 1
+    else:
+        with pytest.raises(DecodeError, match=f"value too large at bit offset {align}$"):
+            reader.read_ue()
+    assert _parse(BitReader.read_levels, data, align, 1) == _parse(
+        _reference_levels, data, align, 1
+    )
+
+
+# The scalar parse that BitReader.read_levels and decode_block must match.
+def _reference_levels(reader: BitReader, count: int) -> np.ndarray:
+    levels = []
+    for _ in range(count):
+        level = reader.read_se()
+        if abs(level) > LEVEL_LIMIT:
+            raise DecodeError(
+                f"level magnitude {abs(level)} exceeds limit at bit offset {reader.tell()}"
+            )
+        levels.append(level)
+    return np.array(levels, dtype=np.int64)
+
+
+def _reference_decode_block(reader: BitReader, n: int) -> np.ndarray:
+    token = reader.read_uint(_token_bits(n))
+    if token > n * n:
+        raise DecodeError(
+            f"last-significant token {token} exceeds {n * n} at bit offset {reader.tell()}"
+        )
+    levels = np.zeros((n, n), dtype=np.int64)
+    for (i, j), level in zip(zigzag_order(n), _reference_levels(reader, token)):
+        levels[i, j] = level
+    return levels
+
+
+def _parse(parse, data: bytes, skip: int, arg: int):
+    """(values or DecodeError text, final bit position) of parse(reader, arg)."""
+    reader = BitReader(data)
+    try:
+        reader.read_uint(skip)
+        result = parse(reader, arg).tolist()
+    except DecodeError as exc:
+        result = str(exc)
+    return result, reader.tell()
+
+
+def _truncated(data: bytes, cut_bits: int) -> bytes:
+    chopped = bytearray(data[: (cut_bits + 7) // 8])
+    if cut_bits % 8:
+        chopped[-1] &= (0xFF << (8 - cut_bits % 8)) & 0xFF
+    return bytes(chopped)
+
+
+_EXTREMES = [LEVEL_LIMIT, -LEVEL_LIMIT, LEVEL_LIMIT + 1, -LEVEL_LIMIT - 1]
+
+
+@st.composite
+def raw_blocks(draw, sizes=(8, 16, 32)):
+    """A coded block written level by level, so levels past LEVEL_LIMIT and
+    tokens with trailing zero levels occur; after `skip` bits of padding."""
+    n = draw(st.sampled_from(sizes))
+    token = draw(st.one_of(st.just(n * n), st.integers(0, n * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1, 4, 60, 3000]))
+    levels = rng.integers(-scale, scale + 1, token) * (rng.random(token) < 0.6)
+    for _ in range(draw(st.integers(0, 3)) if token else 0):
+        levels[draw(st.integers(0, token - 1))] = draw(st.sampled_from(_EXTREMES))
+    skip = draw(st.integers(0, 7))
+    w = BitWriter()
+    w.write_uint(0, skip)
+    w.write_uint(token, _token_bits(n))
+    for level in levels.tolist():
+        w.write_se(level)
+    if draw(st.booleans()):
+        w.write_uint(draw(st.integers(0, 255)), 8)
+    return w.getvalue(), skip, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_blocks())
+def test_decode_block_matches_scalar_parse(block):
+    data, skip, n = block
+    assert _parse(decode_block, data, skip, n) == _parse(_reference_decode_block, data, skip, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(raw_blocks(sizes=(8,)))
+def test_decode_block_matches_scalar_parse_at_every_truncation(block):
+    data, skip, n = block
+    for cut_bits in range(8 * len(data) + 1):
+        chopped = _truncated(data, cut_bits)
+        assert _parse(decode_block, chopped, skip, n) == _parse(
+            _reference_decode_block, chopped, skip, n
+        )
+
+
+def _clip_stream() -> bytes:
+    rng = np.random.default_rng(41)
+    base = rng.integers(0, 256, (3, 48, 48))
+    frames = [
+        Frame(40, 40, 8, tuple(np.roll(p, 2 * k, axis=1)[:40, :40].astype(np.uint8) for p in base))
+        for k in range(2)
+    ]
+    return encode_sequence(frames, EncoderConfig(base_qp=22, cu_size=16)).bitstream
+
+
+_CLIP = _clip_stream()
+
+
+def _decode_outcome(data: bytes):
+    try:
+        return [f.planes for f in decode_sequence(data)]
+    except DecodeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(128, 8 * len(_CLIP) - 1),
+    st.sampled_from(["flip", "zeros"]),
+    st.integers(1, 80),
+)
+def test_mangled_stream_decodes_as_with_scalar_parse(offset, kind, run):
+    bits = list(f"{int.from_bytes(_CLIP, 'big'):0{8 * len(_CLIP)}b}")
+    for i in range(offset, min(offset + (1 if kind == "flip" else run), len(bits))):
+        bits[i] = "0" if kind == "zeros" else "10"[int(bits[i])]
+    data = _bytes_of("".join(bits))
+    fast = _decode_outcome(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "decode_block", _reference_decode_block)
+        scalar = _decode_outcome(data)
+    if isinstance(scalar, str):
+        assert fast == scalar
+    else:
+        assert not isinstance(fast, str)
+        assert all(np.array_equal(a, b) for fa, fb in zip(fast, scalar) for a, b in zip(fa, fb))

@@ -157,6 +157,26 @@ def test_corrupt_magic_rejected():
         stream_header(b"\x01\x02")
 
 
+@pytest.mark.parametrize(
+    "byte,value,message",
+    [
+        (8, b"\x09", "unsupported bit depth 9"),
+        (11, b"\x0c", "invalid cu_size 12"),
+        (12, b"\x03", "unknown mode id 3"),
+        (13, b"\x34", "base_qp 52 out of range"),
+        (4, b"\x00\x00", "zero frame dimensions"),
+        (6, b"\x00\x00", "zero frame dimensions"),
+        (4, b"\xff\xff\xff\xff", "frame size 65535x65535 exceeds the decoder limit"),
+    ],
+)
+def test_bad_header_field_rejected_by_both_parsers(byte, value, message):
+    stream = encode_sequence(_noise_frames(1, seed=29), EncoderConfig(base_qp=27)).bitstream
+    bad = stream[:byte] + value + stream[byte + len(value) :]
+    for parse in (stream_header, decode_sequence):
+        with pytest.raises(DecodeError, match=f"^{message}$"):
+            parse(bad)
+
+
 def test_truncated_and_mangled_streams_fail_cleanly():
     frames = _noise_frames(2, seed=29)
     data = encode_sequence(frames, EncoderConfig(base_qp=27)).bitstream
