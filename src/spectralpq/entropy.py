@@ -85,13 +85,14 @@ class BitReader:
         return word & ((1 << nbits) - 1)
 
     def read_ue(self) -> int:
-        # One 9-byte window covers any prefix up to 32 zeros plus its payload.
+        # A window of the 72 bits from pos covers any prefix up to 32 zeros
+        # plus its payload; a prefix of 72 or more zeros leaves it empty.
         pos = self._pos
         if pos >= self._total:
             raise DecodeError(f"bitstream truncated at bit offset {pos}")
         byte0 = pos >> 3
-        tail = self._data[byte0 : byte0 + 9]
-        avail = min(8 * len(tail), self._total - 8 * byte0) - (pos & 7)
+        tail = self._data[byte0 : byte0 + 10]
+        avail = min(72, 8 * len(tail) - (pos & 7))
         window = int.from_bytes(tail, "big") >> (8 * len(tail) - (pos & 7) - avail)
         window &= (1 << avail) - 1
         if window == 0:

@@ -12,7 +12,7 @@ share geometry and one motion vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -41,6 +41,13 @@ class Frame:
                     f"plane {name} has shape {plane.shape}, "
                     f"expected {(self.height, self.width)}"
                 )
+            if not np.issubdtype(plane.dtype, np.integer):
+                raise ConfigurationError(f"plane {name} has non-integer dtype {plane.dtype}")
+            if plane.size and (plane.min() < 0 or plane.max() > self.max_sample):
+                raise ConfigurationError(
+                    f"plane {name} has samples outside [0, {self.max_sample}] "
+                    f"for {self.bit_depth}-bit frames"
+                )
 
     @property
     def max_sample(self) -> int:
@@ -52,13 +59,11 @@ class Frame:
 
 @dataclass
 class CodingUnit:
-    """Geometry of one CU plus the per-CB/per-PU data attached during encode."""
+    """Geometry of one CU: top-left corner and side length in samples."""
 
     x: int
     y: int
     size: int
-    activity: dict = field(default_factory=dict)
-    mv: Optional[tuple[int, int]] = None
 
 
 @dataclass

@@ -11,7 +11,7 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .entropy import BitReader, BitWriter, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
 from .frames import DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, pad_plane, partition
-from .motion import MotionField, estimate_motion_field
+from .motion import MotionField, MotionVector, estimate_motion_field
 from .perceptual import (
     DEFAULT_CONSTANTS,
     PerceptualConstants,
@@ -38,6 +38,17 @@ MODES = ("anchor-flat", "anchor-adaptiveqp", "spectral-pq")
 CU_SIZES = (8, 16, 32)
 QP_FIELD_BITS = 6
 MAX_FRAME_SAMPLES = 1 << 26    # decoder sanity cap on width * height
+
+# Header fields after the magic, in stream order, with their widths in bits.
+HEADER_FIELDS = {"width": 16, "height": 16, "bit_depth": 8, "fps": 16,
+                 "cu_size": 8, "mode": 8, "base_qp": 8, "frame_count": 16}
+# Checks the decoder makes on a field as soon as it has read it.
+_HEADER_CHECKS = {
+    "bit_depth": (lambda v: v in (8, 10), "unsupported bit depth {}"),
+    "cu_size": (lambda v: v in CU_SIZES, "invalid cu_size {}"),
+    "mode": (lambda v: v < len(MODES), "unknown mode id {}"),
+    "base_qp": (lambda v: v <= QP_MAX, "base_qp {} out of range"),
+}
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,53 @@ class EncoderConfig:
             raise ConfigurationError(f"search_range must be >= 0, got {self.search_range}")
         if self.fps <= 0:
             raise ConfigurationError(f"fps must be > 0, got {self.fps}")
+        if self.fps >= 1 << HEADER_FIELDS["fps"]:
+            raise ConfigurationError(f"fps must fit in 16 bits, got {self.fps}")
+
+
+@dataclass(frozen=True)
+class StreamHeader:
+    """The container header; `mode` is the index into MODES."""
+
+    width: int
+    height: int
+    bit_depth: int
+    fps: int
+    cu_size: int
+    mode: int
+    base_qp: int
+    frame_count: int
+
+    def __post_init__(self):
+        for name, bits in HEADER_FIELDS.items():
+            value = getattr(self, name)
+            if not 0 <= value < 1 << bits:
+                raise ConfigurationError(
+                    f"{name} {value} does not fit the header's {bits}-bit field"
+                )
+
+    def write(self, writer: BitWriter) -> None:
+        writer.write_uint(int.from_bytes(MAGIC, "big"), 32)
+        for name, bits in HEADER_FIELDS.items():
+            writer.write_uint(getattr(self, name), bits)
+
+    @classmethod
+    def read(cls, reader: BitReader) -> "StreamHeader":
+        """Parse and validate the header; every fault raises DecodeError."""
+        if reader.read_uint(32) != int.from_bytes(MAGIC, "big"):
+            raise DecodeError("bad magic: not an SPQ1 stream")
+        values = {}
+        for name, bits in HEADER_FIELDS.items():
+            value = values[name] = reader.read_uint(bits)
+            accepts, message = _HEADER_CHECKS.get(name, (None, ""))
+            if accepts and not accepts(value):
+                raise DecodeError(message.format(value))
+        width, height = values["width"], values["height"]
+        if width == 0 or height == 0:
+            raise DecodeError("zero frame dimensions")
+        if width * height > MAX_FRAME_SAMPLES:
+            raise DecodeError(f"frame size {width}x{height} exceeds the decoder limit")
+        return cls(**values)
 
 
 @dataclass
@@ -141,10 +199,28 @@ def intra_predict_dc(
     return np.full((size, size), value, dtype=np.int64)
 
 
-def _reconstruct_cb(pred, levels, qp, size, bit_depth, spec):
-    coeffs = urq_dequantize(levels, qp, size)
-    residual = inverse(coeffs, spec)
-    return np.clip(pred + residual, 0, (1 << bit_depth) - 1)
+def _block(plane, cu):
+    return plane[cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]
+
+
+def _predict(recon_plane, prev_plane, cu, mv: Optional[MotionVector], bit_depth):
+    """DC prediction when mv is None, else motion compensation from prev_plane."""
+    if mv is None:
+        return intra_predict_dc(recon_plane, cu.x, cu.y, cu.size, bit_depth)
+    x, y = cu.x + mv.vx, cu.y + mv.vy
+    return prev_plane[y : y + cu.size, x : x + cu.size]
+
+
+def _reconstruct_cb(recon_plane, cu, pred, levels, qp, bit_depth, spec):
+    """Decode the levels onto the prediction and store the block at the CU."""
+    residual = inverse(urq_dequantize(levels, qp, cu.size), spec)
+    _block(recon_plane, cu)[...] = np.clip(pred + residual, 0, (1 << bit_depth) - 1)
+
+
+def _crop(recon, shape, dtype) -> Frame:
+    """The visible part of padded planes as a Frame shaped like `shape`."""
+    planes = tuple(recon[ch][: shape.height, : shape.width].astype(dtype) for ch in PLANE_ORDER)
+    return Frame(shape.width, shape.height, shape.bit_depth, planes)
 
 
 def _cu_qps(config, cu_index, activities, means, motion: Optional[MotionField]):
@@ -185,20 +261,14 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
             raise ConfigurationError("all frames must share dimensions and bit depth")
 
     bit_depth = first.bit_depth
+    header = StreamHeader(first.width, first.height, bit_depth, config.fps, config.cu_size,
+                          MODES.index(config.mode), config.base_qp, len(frames))
     spec = make_spec(config.cu_size, "DCT", bit_depth)
     writer = BitWriter()
-    writer.write_uint(int.from_bytes(MAGIC, "big"), 32)
-    writer.write_uint(first.width, 16)
-    writer.write_uint(first.height, 16)
-    writer.write_uint(bit_depth, 8)
-    writer.write_uint(config.fps, 16)
-    writer.write_uint(config.cu_size, 8)
-    writer.write_uint(MODES.index(config.mode), 8)
-    writer.write_uint(config.base_qp, 8)
-    writer.write_uint(len(frames), 16)
+    header.write(writer)
 
     recon_frames = []
-    prev_recon = None
+    prev_recon = dict.fromkeys(PLANE_ORDER)
     tree = partition(first, DEFAULT_CTU_SIZE, config.cu_size)
     stats = SequenceStats(grid_shape=tree.grid_shape)
 
@@ -206,22 +276,14 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         orig = {ch: pad_plane(frame.plane(ch), DEFAULT_CTU_SIZE).astype(np.int64)
                 for ch in PLANE_ORDER}
         recon = {ch: np.zeros_like(orig[ch]) for ch in PLANE_ORDER}
-        intra = idx % config.gop_length == 0 or prev_recon is None
+        intra = idx % config.gop_length == 0
 
-        activities = {
-            ch: [
-                cb_activity(orig[ch][cu.y : cu.y + cu.size, cu.x : cu.x + cu.size])
-                for cu in tree
-            ]
-            for ch in PLANE_ORDER
-        }
+        activities = {ch: [cb_activity(_block(orig[ch], cu)) for cu in tree] for ch in PLANE_ORDER}
         means = {ch: frame_mean_activity(activities[ch]) for ch in PLANE_ORDER}
 
-        motion = None
-        if not intra:
-            motion = estimate_motion_field(
-                orig["G"], prev_recon["G"], tree, config.search_range, idx
-            )
+        motion = None if intra else estimate_motion_field(
+            orig["G"], prev_recon["G"], tree, config.search_range, idx
+        )
 
         fstat = FrameStats(idx, "I" if intra else "P")
         fstat.mean_mv_magnitude = motion.mean_magnitude if motion else None
@@ -232,36 +294,23 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
             qps, d, f = _cu_qps(config, cu_index, activities, means, motion)
             for ch in PLANE_ORDER:
                 writer.write_uint(qps[ch][0], QP_FIELD_BITS)
+            mv = motion.vectors[cu_index] if motion else None
             if motion:
-                mv = motion.vectors[cu_index]
                 writer.write_se(mv.vx)
                 writer.write_se(mv.vy)
-                cu.mv = (mv.vx, mv.vy)
                 fstat.motion.append(MotionStat(idx, cu_index, mv.vx, mv.vy, d))
 
             for ch in PLANE_ORDER:
                 qp, a, z, off = qps[ch]
-                src = orig[ch][cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]
-                if intra:
-                    pred = intra_predict_dc(recon[ch], cu.x, cu.y, cu.size, bit_depth)
-                else:
-                    mv = motion.vectors[cu_index]
-                    pred = prev_recon[ch][
-                        cu.y + mv.vy : cu.y + mv.vy + cu.size,
-                        cu.x + mv.vx : cu.x + mv.vx + cu.size,
-                    ].astype(np.int64)
-                coeffs = forward(src - pred, spec)
+                pred = _predict(recon[ch], prev_recon[ch], cu, mv, bit_depth)
+                coeffs = forward(_block(orig[ch], cu) - pred, spec)
                 if config.rdoq:
-                    levels = rdoq_quantize(
-                        coeffs, qp, config.cu_size, rdoq_config(qp, config.cu_size, bit_depth)
-                    )
+                    cfg = rdoq_config(qp, config.cu_size, bit_depth)
+                    levels = rdoq_quantize(coeffs, qp, config.cu_size, cfg)
                 else:
                     levels = urq_quantize(coeffs, qp, config.cu_size)
                 nbits = encode_block(levels, writer)
-                recon[ch][cu.y : cu.y + cu.size, cu.x : cu.x + cu.size] = _reconstruct_cb(
-                    pred, levels, qp, config.cu_size, bit_depth, spec
-                )
-                cu.activity[ch] = activities[ch][cu_index]
+                _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
                 fstat.bits_channel[ch] = fstat.bits_channel.get(ch, 0) + nbits
                 fstat.cb.append(
                     CbStat(idx, cu_index, ch, activities[ch][cu_index], means[ch],
@@ -272,114 +321,50 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         fstat.bits_overhead = fstat.bits_total - sum(fstat.bits_channel.values())
         stats.frames.append(fstat)
 
-        dtype = frame.planes[0].dtype
-        prev_recon = {ch: recon[ch] for ch in PLANE_ORDER}
-        recon_frames.append(
-            Frame(
-                frame.width,
-                frame.height,
-                bit_depth,
-                tuple(
-                    recon[ch][: frame.height, : frame.width].astype(dtype)
-                    for ch in PLANE_ORDER
-                ),
-            )
-        )
+        prev_recon = recon
+        recon_frames.append(_crop(recon, frame, frame.planes[0].dtype))
 
     return EncodeResult(writer.getvalue(), stats, recon_frames)
-
-
-def _read_header(reader: BitReader) -> dict:
-    """Parse and validate the container header; keys as in stream_header."""
-    if reader.read_uint(32) != int.from_bytes(MAGIC, "big"):
-        raise DecodeError("bad magic: not an SPQ1 stream")
-    width = reader.read_uint(16)
-    height = reader.read_uint(16)
-    bit_depth = reader.read_uint(8)
-    if bit_depth not in (8, 10):
-        raise DecodeError(f"unsupported bit depth {bit_depth}")
-    fps = reader.read_uint(16)
-    cu_size = reader.read_uint(8)
-    if cu_size not in CU_SIZES:
-        raise DecodeError(f"invalid cu_size {cu_size}")
-    mode_id = reader.read_uint(8)
-    if mode_id >= len(MODES):
-        raise DecodeError(f"unknown mode id {mode_id}")
-    base_qp = reader.read_uint(8)
-    if base_qp > QP_MAX:
-        raise DecodeError(f"base_qp {base_qp} out of range")
-    frame_count = reader.read_uint(16)
-    if width == 0 or height == 0:
-        raise DecodeError("zero frame dimensions")
-    if width * height > MAX_FRAME_SAMPLES:
-        raise DecodeError(f"frame size {width}x{height} exceeds the decoder limit")
-    return {
-        "width": width,
-        "height": height,
-        "bit_depth": bit_depth,
-        "fps": fps,
-        "cu_size": cu_size,
-        "mode": mode_id,
-        "base_qp": base_qp,
-        "frame_count": frame_count,
-    }
 
 
 def decode_sequence(data: bytes) -> list:
     """Decode an "SPQ1" stream into frames (bit-exact encoder reconstructions)."""
     reader = BitReader(data)
-    header = _read_header(reader)
-    width, height = header["width"], header["height"]
-    bit_depth, cu_size = header["bit_depth"], header["cu_size"]
-
-    pw = width + (-width) % DEFAULT_CTU_SIZE
-    ph = height + (-height) % DEFAULT_CTU_SIZE
-    positions = [(x, y) for y in range(0, ph, cu_size) for x in range(0, pw, cu_size)]
+    header = StreamHeader.read(reader)
+    bit_depth, cu_size = header.bit_depth, header.cu_size
+    tree = partition(header, DEFAULT_CTU_SIZE, cu_size)
     spec = make_spec(cu_size, "DCT", bit_depth)
     dtype = np.uint8 if bit_depth == 8 else np.uint16
 
     frames = []
-    prev_recon = None
-    for idx in range(header["frame_count"]):
+    prev_recon = dict.fromkeys(PLANE_ORDER)
+    for idx in range(header.frame_count):
         inter = reader.read_uint(1)
-        if inter and prev_recon is None:
+        if inter and idx == 0:
             raise DecodeError(f"frame {idx} is inter but no reference exists")
-        recon = {ch: np.zeros((ph, pw), dtype=np.int64) for ch in PLANE_ORDER}
-        for x, y in positions:
-            qps = {}
-            for ch in PLANE_ORDER:
+        recon = {ch: np.zeros((tree.height, tree.width), dtype=np.int64) for ch in PLANE_ORDER}
+        for cu in tree:
+            qps = []
+            for _ in PLANE_ORDER:
                 qp = reader.read_uint(QP_FIELD_BITS)
                 if qp > QP_MAX:
                     raise DecodeError(f"qp {qp} out of range at bit offset {reader.tell()}")
-                qps[ch] = qp
-            if inter:
-                vx = reader.read_se()
-                vy = reader.read_se()
-                if not (0 <= x + vx <= pw - cu_size and 0 <= y + vy <= ph - cu_size):
-                    raise DecodeError(
-                        f"motion vector ({vx}, {vy}) leaves the frame at CU ({x}, {y})"
-                    )
-            for ch in PLANE_ORDER:
-                if inter:
-                    pred = prev_recon[ch][y + vy : y + vy + cu_size, x + vx : x + vx + cu_size]
-                else:
-                    pred = intra_predict_dc(recon[ch], x, y, cu_size, bit_depth)
-                levels = decode_block(reader, cu_size)
-                recon[ch][y : y + cu_size, x : x + cu_size] = _reconstruct_cb(
-                    pred, levels, qps[ch], cu_size, bit_depth, spec
+                qps.append(qp)
+            mv = MotionVector(reader.read_se(), reader.read_se()) if inter else None
+            if inter and not (0 <= cu.x + mv.vx <= tree.width - cu_size
+                              and 0 <= cu.y + mv.vy <= tree.height - cu_size):
+                raise DecodeError(
+                    f"motion vector ({mv.vx}, {mv.vy}) leaves the frame at CU ({cu.x}, {cu.y})"
                 )
+            for ch, qp in zip(PLANE_ORDER, qps):
+                pred = _predict(recon[ch], prev_recon[ch], cu, mv, bit_depth)
+                levels = decode_block(reader, cu_size)
+                _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
         prev_recon = recon
-        frames.append(
-            Frame(
-                width,
-                height,
-                bit_depth,
-                tuple(recon[ch][:height, :width].astype(dtype) for ch in PLANE_ORDER),
-            )
-        )
+        frames.append(_crop(recon, header, dtype))
     return frames
 
 
 def stream_header(data: bytes) -> dict:
     """Parse and validate just the container header (for tooling and tests)."""
-    return _read_header(BitReader(data))
+    return asdict(StreamHeader.read(BitReader(data)))

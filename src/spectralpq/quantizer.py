@@ -12,12 +12,12 @@ exponents instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .entropy import LEVEL_LIMIT, level_bits, level_bits_array
 from .errors import ConfigurationError
+from .transform import coefficient_scale
 
 QP_MIN = 0
 QP_MAX = 51
@@ -91,10 +91,9 @@ def default_lambda(qp: int) -> float:
 
 @dataclass(frozen=True)
 class RdoqConfig:
-    """Lagrange multiplier and rate model for RDOQ level decisions."""
+    """Lagrange multiplier for RDOQ level decisions; the rate is level_bits."""
 
     lam: float
-    bit_estimator: Callable[[int], int] = level_bits
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -108,7 +107,7 @@ def rdoq_config(qp: int, n: int = 4, bit_depth: int = 8) -> RdoqConfig:
     gain of 2^(16 - bit_depth - log2 n) over sample amplitudes, so the
     sample-domain schedule is scaled by that gain squared.
     """
-    scale = 1 << (16 - bit_depth - int(np.log2(n)))
+    scale = coefficient_scale(n, bit_depth)
     return RdoqConfig(default_lambda(qp) * scale * scale)
 
 
@@ -124,7 +123,7 @@ def rdoq_cost(x: int, level: int, qp: int, n: int, cfg: RdoqConfig) -> float:
     """Lagrangian cost of quantizing coefficient x to the given magnitude."""
     recon = urq_dequantize(level, qp, n)
     err = abs(int(x)) - recon
-    return err * err + cfg.lam * cfg.bit_estimator(level)
+    return err * err + cfg.lam * level_bits(level)
 
 
 def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig | None = None) -> np.ndarray:
@@ -137,7 +136,6 @@ def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig | None = 
     if cfg is None:
         cfg = rdoq_config(qp, n)
     p = quant_params(qp, n)
-    shift = int(np.log2(n)) - 1
     x = np.asarray(coeffs, dtype=np.int64)
     ax = np.abs(x)
 
@@ -145,13 +143,8 @@ def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig | None = 
     l2 = l1 + 1
 
     def cost(levels: np.ndarray) -> np.ndarray:
-        recon = (levels * p.s << p.period) >> shift
-        err = (ax - recon).astype(np.float64)
-        if cfg.bit_estimator is level_bits:
-            bits = level_bits_array(levels)
-        else:
-            bits = np.vectorize(cfg.bit_estimator, otypes=[np.int64])(levels)
-        return err * err + cfg.lam * bits
+        err = (ax - urq_dequantize(levels, qp, n)).astype(np.float64)
+        return err * err + cfg.lam * level_bits_array(levels)
 
     best = np.zeros_like(l1)
     best_cost = cost(best)

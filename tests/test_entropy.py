@@ -211,6 +211,22 @@ def test_prefix_limit_independent_of_alignment(align, zeros):
     )
 
 
+@pytest.mark.parametrize("align", range(8))
+@pytest.mark.parametrize("zeros", [33, 66, 70, 71, 72, 80])
+def test_overlong_prefix_error_independent_of_alignment(align, zeros):
+    # Prefixes under 72 zeros that end in a 1-bit are too large; longer ones
+    # are invalid.  Either way the text must not depend on the bit alignment.
+    data = _bytes_of("1" * align + "0" * zeros + "1" + "0" * zeros + "1" * 16)
+    problem = "exp-Golomb value too large" if zeros < 72 else "invalid exp-Golomb prefix"
+    expected = f"{problem} at bit offset {align}"
+    reader = BitReader(data)
+    reader.read_uint(align)
+    with pytest.raises(DecodeError) as excinfo:
+        reader.read_ue()
+    assert str(excinfo.value) == expected
+    assert _parse(BitReader.read_levels, data, align, 1) == (expected, align)
+
+
 # The scalar parse that BitReader.read_levels and decode_block must match.
 def _reference_levels(reader: BitReader, count: int) -> np.ndarray:
     levels = []

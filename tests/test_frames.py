@@ -121,6 +121,22 @@ def test_frame_validation():
         Frame(8, 8, 8, (np.zeros((8, 8), np.uint8), np.zeros((4, 8), np.uint8), np.zeros((8, 8), np.uint8)))
 
 
+@pytest.mark.parametrize(
+    "plane,bit_depth,message",
+    [
+        (np.full((8, 8), 100.0), 8, "non-integer dtype float64"),
+        (np.full((8, 8), -1, np.int16), 8, r"outside \[0, 255\]"),
+        (np.full((8, 8), 1023, np.uint16), 8, r"outside \[0, 255\]"),
+        (np.full((8, 8), 1024, np.uint16), 10, r"outside \[0, 1023\]"),
+        (np.zeros((8, 8), bool), 8, "non-integer dtype bool"),
+    ],
+)
+def test_frame_rejects_unrepresentable_samples(plane, bit_depth, message):
+    ok = np.zeros((8, 8), np.uint16)
+    with pytest.raises(ConfigurationError, match=message):
+        Frame(8, 8, bit_depth, (ok, plane, ok.copy()))
+
+
 @pytest.mark.parametrize("size", [8, 64])
 def test_subblocks_quadrants(size):
     rng = np.random.default_rng(size)

@@ -216,6 +216,27 @@ def test_config_validation():
         encode_sequence(mixed, EncoderConfig(base_qp=22))
 
 
+def test_fps_beyond_header_field_rejected_at_config():
+    EncoderConfig(base_qp=22, fps=65535)
+    with pytest.raises(ConfigurationError, match="fps"):
+        EncoderConfig(base_qp=22, fps=70000)
+
+
+def test_more_frames_than_the_header_counts_rejected():
+    frames = _noise_frames(1, size=8) * 65536
+    with pytest.raises(ConfigurationError, match="frame_count 65536"):
+        encode_sequence(frames, EncoderConfig(base_qp=22))
+
+
+@pytest.mark.parametrize("width,height", [(65536, 1), (1, 65536)])
+def test_dimension_beyond_header_field_rejected(width, height):
+    plane = np.zeros((height, width), np.uint8)
+    frame = Frame(width, height, 8, (plane, plane, plane))
+    name = "width" if width > height else "height"
+    with pytest.raises(ConfigurationError, match=f"{name} 65536"):
+        encode_sequence([frame], EncoderConfig(base_qp=22))
+
+
 def test_decoder_rejects_bad_header_fields():
     frames = _noise_frames(1, seed=37)
     data = bytearray(encode_sequence(frames, EncoderConfig(base_qp=27)).bitstream)

@@ -141,4 +141,3 @@ def test_rdoq_config_units_and_validation():
     assert rdoq_config(12, 4).lam == pytest.approx(0.57 * (1 << (16 - 8 - 2)) ** 2)
     with pytest.raises(ConfigurationError):
         RdoqConfig(0.0)
-    assert rdoq_config(27).bit_estimator is level_bits
