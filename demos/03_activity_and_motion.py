@@ -12,13 +12,13 @@ from spectralpq.perceptual import frame_activity, perceptual_qp, temporal_offset
 
 seq = high_motion_translation(frame_count=2)
 cur, prev = seq.frames[1], seq.frames[0]
-tree = partition(cur, 64, 32)
+tree = partition(cur, 32)
 
 def plane(frame, ch):
     return pad_plane(frame.plane(ch), 64).astype(np.float64)
 
 print("== spatial activity of the G plane (one row per CU row) ==")
-acts = frame_activity(plane(cur, "G"), tree.cus, "G")
+acts = frame_activity(plane(cur, "G"), tree, "G")
 rows, cols = tree.grid_shape
 for r in range(rows):
     row = acts[r * cols : (r + 1) * cols]
@@ -41,7 +41,7 @@ for label, idx in (("moving textured center", center), ("static corner", corner)
     d = field.magnitudes[idx]
     print(f"  {label} (|v| = {d:.1f}):")
     for ch in ("G", "B", "R"):
-        a = frame_activity(plane(cur, ch), tree.cus, ch)[idx].a
+        a = frame_activity(plane(cur, ch), tree, ch)[idx].a
         z = temporal_offset(d, field.mean_magnitude, ch)
         decision = perceptual_qp(27, a, z, ch)
         print(f"    {ch}: a={a:.2f} z={z} offset={decision.total_offset:+d} -> qp {decision.qp}")

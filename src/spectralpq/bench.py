@@ -212,13 +212,10 @@ def write_qp_maps(result: EncodeResult, outdir, sequence: str, mode: str, qp: in
     outdir.mkdir(parents=True, exist_ok=True)
     height, width = result.stats.grid_shape
     for fstat in result.stats.frames:
-        per_channel = {ch: {} for ch in PLANE_ORDER}
+        grids = {ch: np.zeros((height, width), dtype=np.uint8) for ch in PLANE_ORDER}
         for cb in fstat.cb:
-            per_channel[cb.channel][cb.cu] = cb.qp
-        for ch in PLANE_ORDER:
-            grid = np.zeros((height, width), dtype=np.uint8)
-            for cu, value in per_channel[ch].items():
-                grid[cu // width, cu % width] = value
+            grids[cb.channel].flat[cb.cu] = cb.qp
+        for ch, grid in grids.items():
             name = f"{sequence}_{mode}_qp{qp}_f{fstat.index:04d}_{ch}.pgm"
             with open(outdir / name, "wb") as fh:
                 fh.write(f"P5 {width} {height} 51\n".encode())

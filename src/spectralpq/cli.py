@@ -15,14 +15,14 @@ from pathlib import Path
 from . import bench as bench_mod
 from .corpus import CorpusSequence, make_corpus
 from .errors import CodecError
-from .frames import load_sequence, save_sequence
+from .frames import CU_SIZES, load_sequence, save_sequence
 from .metrics import quality_report
 from .pipeline import MODES, EncoderConfig, decode_sequence, encode_sequence, stream_header
 from .quantizer import BLOCK_SIZES, quant_params
 from .transform import DST_4X4, dct_matrix
 
 
-def _add_raw_input_args(p, need_frames=False):
+def _add_raw_input_args(p):
     p.add_argument("--input", required=True, help="raw planar GBR file")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
@@ -35,7 +35,7 @@ def _add_encoder_args(p):
     p.add_argument("--qp", type=int, default=27)
     p.add_argument("--mode", default="spectral-pq", choices=MODES)
     p.add_argument("--gop", type=int, default=8)
-    p.add_argument("--cu-size", type=int, default=32, choices=(8, 16, 32))
+    p.add_argument("--cu-size", type=int, default=32, choices=CU_SIZES)
     p.add_argument("--search-range", type=int, default=16)
     p.add_argument("--fps", type=int, default=30)
     p.add_argument("--rdoq", default="on", choices=("on", "off"))
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--mode", nargs="+", default=["anchor-flat", "spectral-pq"],
                      choices=MODES)
     ben.add_argument("--gop", type=int, default=8)
-    ben.add_argument("--cu-size", type=int, default=32, choices=(8, 16, 32))
+    ben.add_argument("--cu-size", type=int, default=32, choices=CU_SIZES)
     ben.add_argument("--search-range", type=int, default=16)
     ben.add_argument("--rdoq", default="on", choices=("on", "off"))
     ben.add_argument("--csv", help="write the experiment table to this path")

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConfigurationError, IngestionError, StructuralError
 
 PLANE_ORDER = ("G", "B", "R")
-DEFAULT_CTU_SIZE = 64
+DEFAULT_CTU_SIZE = 64    # frames are padded to a multiple of this
+CU_SIZES = (8, 16, 32)
 
 
 @dataclass
@@ -35,6 +36,10 @@ class Frame:
     def __post_init__(self):
         if self.bit_depth not in (8, 10):
             raise ConfigurationError(f"bit depth must be 8 or 10, got {self.bit_depth}")
+        if self.width < 1 or self.height < 1:
+            raise ConfigurationError(
+                f"frame dimensions must be >= 1, got {self.width}x{self.height}"
+            )
         for name, plane in zip(PLANE_ORDER, self.planes):
             if plane.shape != (self.height, self.width):
                 raise StructuralError(
@@ -57,7 +62,7 @@ class Frame:
         return self.planes[PLANE_ORDER.index(channel)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodingUnit:
     """Geometry of one CU: top-left corner and side length in samples."""
 
@@ -66,24 +71,22 @@ class CodingUnit:
     size: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockTree:
-    """Fixed-depth CU grid over a padded frame."""
+    """Fixed grid of cu_size CUs over a padded frame; each walk makes its CUs in raster order."""
 
-    ctu_size: int
-    cu_size: int
     width: int            # padded
     height: int           # padded
-    orig_width: int
-    orig_height: int
-    cus: list[CodingUnit]
+    cu_size: int
 
     @property
     def grid_shape(self) -> tuple[int, int]:
         return self.height // self.cu_size, self.width // self.cu_size
 
     def __iter__(self) -> Iterator[CodingUnit]:
-        return iter(self.cus)
+        for y in range(0, self.height, self.cu_size):
+            for x in range(0, self.width, self.cu_size):
+                yield CodingUnit(x, y, self.cu_size)
 
 
 def _sample_dtype(bit_depth: int) -> np.dtype:
@@ -107,6 +110,8 @@ def load_sequence(
     out-of-range 10-bit samples raise IngestionError naming the frame, plane,
     and byte offset of the first offending sample.
     """
+    if width < 1 or height < 1:
+        raise IngestionError(f"{path}: frame dimensions must be >= 1, got {width}x{height}")
     data = np.fromfile(path, dtype=np.uint8)
     fsize = frame_size_bytes(width, height, bit_depth)
     if frame_count is None:
@@ -162,31 +167,15 @@ def pad_frame(frame: Frame, multiple: int = DEFAULT_CTU_SIZE) -> Frame:
     return Frame(w, h, frame.bit_depth, planes)
 
 
-def partition(
-    frame: Frame,
-    ctu_size: int = DEFAULT_CTU_SIZE,
-    cu_size: int = 32,
-) -> BlockTree:
-    """Tile the (padded) frame with a fixed grid of cu_size CUs."""
-    for name, val in (("ctu_size", ctu_size), ("cu_size", cu_size)):
-        if val < 1 or val & (val - 1):
-            raise ConfigurationError(f"{name} must be a power of two, got {val}")
-    if cu_size > ctu_size:
-        raise ConfigurationError(f"cu_size {cu_size} exceeds ctu_size {ctu_size}")
-    if cu_size < 8:
-        raise ConfigurationError(
-            f"cu_size must be >= 8 so each channel block splits into four "
-            f"quadrants of at least 4x4, got {cu_size}"
-        )
-
-    pw = frame.width + (-frame.width) % ctu_size
-    ph = frame.height + (-frame.height) % ctu_size
-    cus = [
-        CodingUnit(x, y, cu_size)
-        for y in range(0, ph, cu_size)
-        for x in range(0, pw, cu_size)
-    ]
-    return BlockTree(ctu_size, cu_size, pw, ph, frame.width, frame.height, cus)
+def partition(frame: Frame, cu_size: int = 32) -> BlockTree:
+    """Tile the frame, padded to DEFAULT_CTU_SIZE, with a fixed grid of cu_size CUs."""
+    if cu_size not in CU_SIZES:
+        raise ConfigurationError(f"cu_size must be one of {CU_SIZES}, got {cu_size}")
+    return BlockTree(
+        frame.width + (-frame.width) % DEFAULT_CTU_SIZE,
+        frame.height + (-frame.height) % DEFAULT_CTU_SIZE,
+        cu_size,
+    )
 
 
 def subblocks(cb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

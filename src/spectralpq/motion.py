@@ -27,7 +27,6 @@ class MotionVector:
 class MotionField:
     """Per-CU vectors of one inter frame plus the mean magnitude."""
 
-    frame_index: int
     vectors: list[MotionVector]
     magnitudes: list[float]
     mean_magnitude: float
@@ -83,7 +82,6 @@ def estimate_motion_field(
     reference_g: np.ndarray,
     tree: BlockTree,
     search_range: int,
-    frame_index: int = 0,
 ) -> MotionField:
     """Search every CU of the frame and aggregate the mean magnitude."""
     vectors = []
@@ -91,4 +89,4 @@ def estimate_motion_field(
         block = current_g[cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]
         vectors.append(estimate_mv(block, reference_g, cu.x, cu.y, search_range))
     mags = [mv_magnitude(v) for v in vectors]
-    return MotionField(frame_index, vectors, mags, frame_mean_magnitude(mags))
+    return MotionField(vectors, mags, frame_mean_magnitude(mags))

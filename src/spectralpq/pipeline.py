@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import BitReader, BitWriter, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
-from .frames import DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, pad_plane, partition
+from .frames import CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, pad_plane, partition
 from .motion import MotionField, MotionVector, estimate_motion_field
 from .perceptual import (
     DEFAULT_CONSTANTS,
@@ -35,9 +35,8 @@ from .transform import forward, inverse, make_spec
 
 MAGIC = b"SPQ1"
 MODES = ("anchor-flat", "anchor-adaptiveqp", "spectral-pq")
-CU_SIZES = (8, 16, 32)
 QP_FIELD_BITS = 6
-MAX_FRAME_SAMPLES = 1 << 26    # decoder sanity cap on width * height
+MAX_FRAME_SAMPLES = 1 << 26    # cap on width * height, checked on encode and decode
 
 # Header fields after the magic, in stream order, with their widths in bits.
 HEADER_FIELDS = {"width": 16, "height": 16, "bit_depth": 8, "fps": 16,
@@ -99,6 +98,10 @@ class StreamHeader:
                 raise ConfigurationError(
                     f"{name} {value} does not fit the header's {bits}-bit field"
                 )
+        if self.width * self.height > MAX_FRAME_SAMPLES:
+            raise ConfigurationError(
+                f"frame size {self.width}x{self.height} exceeds {MAX_FRAME_SAMPLES} samples"
+            )
 
     def write(self, writer: BitWriter) -> None:
         writer.write_uint(int.from_bytes(MAGIC, "big"), 32)
@@ -155,7 +158,6 @@ class FrameStats:
     index: int
     frame_type: str                       # "I" or "P"
     bits_channel: dict = field(default_factory=dict)
-    bits_overhead: int = 0
     bits_total: int = 0
     mean_mv_magnitude: Optional[float] = None
     cb: list = field(default_factory=list)
@@ -269,7 +271,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
 
     recon_frames = []
     prev_recon = dict.fromkeys(PLANE_ORDER)
-    tree = partition(first, DEFAULT_CTU_SIZE, config.cu_size)
+    tree = partition(first, config.cu_size)
     stats = SequenceStats(grid_shape=tree.grid_shape)
 
     for idx, frame in enumerate(frames):
@@ -282,7 +284,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         means = {ch: frame_mean_activity(activities[ch]) for ch in PLANE_ORDER}
 
         motion = None if intra else estimate_motion_field(
-            orig["G"], prev_recon["G"], tree, config.search_range, idx
+            orig["G"], prev_recon["G"], tree, config.search_range
         )
 
         fstat = FrameStats(idx, "I" if intra else "P")
@@ -318,7 +320,6 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
                 )
 
         fstat.bits_total = writer.tell() - frame_start
-        fstat.bits_overhead = fstat.bits_total - sum(fstat.bits_channel.values())
         stats.frames.append(fstat)
 
         prev_recon = recon
@@ -332,7 +333,7 @@ def decode_sequence(data: bytes) -> list:
     reader = BitReader(data)
     header = StreamHeader.read(reader)
     bit_depth, cu_size = header.bit_depth, header.cu_size
-    tree = partition(header, DEFAULT_CTU_SIZE, cu_size)
+    tree = partition(header, cu_size)
     spec = make_spec(cu_size, "DCT", bit_depth)
     dtype = np.uint8 if bit_depth == 8 else np.uint16
 

@@ -99,3 +99,8 @@ def test_encode_rejects_bad_dimensions(tmp_path, raw_clip):
         "--out", str(tmp_path / "x.spq"),
     ])
     assert rc == 1
+    rc = main([
+        "encode", "--input", str(raw), "--width", "0", "--height", "0",
+        "--out", str(tmp_path / "x.spq"),
+    ])
+    assert rc == 1

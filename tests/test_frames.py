@@ -40,6 +40,15 @@ def test_10bit_frame_size_and_endianness(tmp_path):
     assert frames[0].planes[0][0, 0] == 4
 
 
+@pytest.mark.parametrize("width,height", [(0, 0), (0, 2), (2, 0)])
+def test_load_rejects_empty_dimensions(tmp_path, width, height):
+    p = tmp_path / "seq.raw"
+    p.write_bytes(bytes(12))
+    message = f"frame dimensions must be >= 1, got {width}x{height}"
+    with pytest.raises(IngestionError, match=message):
+        load_sequence(p, width, height, 8)
+
+
 def test_short_file_error(tmp_path):
     p = tmp_path / "seq.raw"
     p.write_bytes(bytes(11))
@@ -91,13 +100,12 @@ def test_pad_preserves_and_is_idempotent():
 
 
 def test_partition_counts_and_padding():
-    tree = partition(_frame(128, 128), 64, 32)
-    assert len(tree.cus) == 16
+    tree = partition(_frame(128, 128), 32)
+    assert len(list(tree)) == 16
     assert tree.grid_shape == (4, 4)
 
-    tree = partition(_frame(100, 60), 64, 32)
+    tree = partition(_frame(100, 60), 32)
     assert (tree.width, tree.height) == (128, 64)
-    assert (tree.orig_width, tree.orig_height) == (100, 60)
 
     # CB areas per channel tile the padded frame exactly
     assert sum(cu.size * cu.size for cu in tree) == tree.width * tree.height
@@ -105,13 +113,11 @@ def test_partition_counts_and_padding():
 
 def test_partition_validation():
     with pytest.raises(ConfigurationError):
-        partition(_frame(64, 64), 48, 32)
+        partition(_frame(64, 64), 48)
     with pytest.raises(ConfigurationError):
-        partition(_frame(64, 64), 64, 48)
+        partition(_frame(64, 64), 64)
     with pytest.raises(ConfigurationError):
-        partition(_frame(64, 64), 32, 64)
-    with pytest.raises(ConfigurationError):
-        partition(_frame(64, 64), 64, 4)
+        partition(_frame(64, 64), 4)
 
 
 def test_frame_validation():
@@ -119,6 +125,13 @@ def test_frame_validation():
         _frame(8, 8, bit_depth=9)
     with pytest.raises(StructuralError):
         Frame(8, 8, 8, (np.zeros((8, 8), np.uint8), np.zeros((4, 8), np.uint8), np.zeros((8, 8), np.uint8)))
+
+
+@pytest.mark.parametrize("width,height", [(0, 0), (0, 8), (8, 0)])
+def test_frame_rejects_empty_dimensions(width, height):
+    message = f"frame dimensions must be >= 1, got {width}x{height}"
+    with pytest.raises(ConfigurationError, match=message):
+        _frame(width, height)
 
 
 @pytest.mark.parametrize(

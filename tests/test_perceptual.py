@@ -138,8 +138,8 @@ def test_frame_activity_summary():
     plane = np.full((64, 64), 100.0)
     plane[32:, 32:] += rng.normal(0.0, 20.0, (32, 32))
     frame = Frame(64, 64, 8, tuple(np.zeros((64, 64), np.uint8) for _ in range(3)))
-    tree = partition(frame, 64, 32)
-    acts = frame_activity(plane, tree.cus, "G")
+    tree = partition(frame, 32)
+    acts = frame_activity(plane, tree, "G")
     assert len(acts) == 4
     assert acts[0].channel == "G"
     gs = [a.g for a in acts]

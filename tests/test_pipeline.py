@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from spectralpq import frames as frames_mod
 from spectralpq.corpus import noise_patches, static_gradient
+from spectralpq.entropy import BitWriter
 from spectralpq.errors import ConfigurationError, DecodeError
 from spectralpq.frames import PLANE_ORDER, Frame
 from spectralpq.metrics import sequence_psnr
 from spectralpq.pipeline import (
     EncoderConfig,
+    StreamHeader,
     decode_sequence,
     encode_sequence,
     intra_predict_dc,
@@ -235,6 +238,34 @@ def test_dimension_beyond_header_field_rejected(width, height):
     name = "width" if width > height else "height"
     with pytest.raises(ConfigurationError, match=f"{name} 65536"):
         encode_sequence([frame], EncoderConfig(base_qp=22))
+
+
+def test_frame_beyond_decoder_sample_limit_rejected():
+    plane = np.broadcast_to(np.uint8(0), (8193, 8192))
+    frame = Frame(8192, 8193, 8, (plane, plane, plane))
+    with pytest.raises(ConfigurationError, match="frame size 8192x8193 exceeds 67108864 samples"):
+        encode_sequence([frame], EncoderConfig(base_qp=22))
+
+
+def test_decode_work_bounded_by_stream(monkeypatch):
+    # A 20-byte stream whose header claims 8192x8192 at cu_size 8: the decoder
+    # must fail on the first CU, not walk the 1,048,576 CUs the header implies.
+    built = []
+
+    class CountingCU(frames_mod.CodingUnit):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(frames_mod, "CodingUnit", CountingCU)
+    writer = BitWriter()
+    StreamHeader(8192, 8192, 8, 30, 8, 0, 27, 1).write(writer)
+    data = writer.getvalue() + bytes(4)
+    assert len(data) == 20
+    with pytest.raises(DecodeError) as err:
+        decode_sequence(data)
+    assert str(err.value) == "bitstream truncated: need 7 bits at bit offset 154, stream has 160"
+    assert len(built) <= 1
 
 
 def test_decoder_rejects_bad_header_fields():
