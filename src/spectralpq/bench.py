@@ -20,6 +20,7 @@ CSV_HEADER = (
     "sequence,mode,qp,kbps,psnr_g,psnr_b,psnr_r,"
     "ssim_g,ssim_b,ssim_r,ssim_mean,reduction_pct,status"
 )
+ANCHOR_MODE = "anchor-flat"    # the mode every reduction_pct is measured against
 
 
 def kbps(total_bits: int, frame_count: int, fps: float) -> float:
@@ -131,14 +132,13 @@ def run_experiment(
     qps: list[int],
     modes: list[str],
     rdoq: bool = True,
-    anchor_mode: str = "anchor-flat",
     gop_length: int = 8,
     cu_size: int = 32,
     search_range: int = 16,
     workers: int = 1,
     qp_map_dir: Optional[Path] = None,
 ) -> list[ExperimentRow]:
-    """Full sweep over sequences x qps x modes with reductions vs the anchor.
+    """Full sweep over sequences x qps x modes with reductions vs ANCHOR_MODE.
 
     Cells run independently (optionally on a worker pool); rows come back in
     deterministic (sequence, qp, mode) order regardless of completion order.
@@ -164,17 +164,17 @@ def run_experiment(
     rows = []
     for seq in sequences:
         for qp in qps:
-            anchor = by_key.get((seq.name, qp, anchor_mode))
+            anchor = by_key.get((seq.name, qp, ANCHOR_MODE))
             for mode in modes:
                 row, _ = by_key[(seq.name, qp, mode)]
                 if (
                     anchor is not None
                     and anchor[0].status == "ok"
                     and row.status == "ok"
-                    and mode != anchor_mode
+                    and mode != ANCHOR_MODE
                 ):
                     row.reduction_pct = bitrate_reduction(row.kbps, anchor[0].kbps)
-                elif mode == anchor_mode and row.status == "ok":
+                elif mode == ANCHOR_MODE and row.status == "ok":
                     row.reduction_pct = 0.0
                 rows.append(row)
     return rows

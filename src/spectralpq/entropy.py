@@ -117,7 +117,8 @@ class BitReader:
         Values, final position and every DecodeError, text and bit offset,
         are those of a read_se loop that checks each level against
         LEVEL_LIMIT.  Codes are parsed a window at a time through a jump
-        table; read_se takes over at the first code no window can take.
+        table; a code no window can take is malformed, and read_se raises
+        its error.
         """
         parts = [np.zeros(0, dtype=np.int64)]
         while count:
@@ -138,13 +139,9 @@ class BitReader:
             self._pos = pos + int(ends[-1])
             parts.append(levels)
             count -= len(levels)
-        for _ in range(count):
-            level = self.read_se()
-            if abs(level) > LEVEL_LIMIT:
-                raise DecodeError(
-                    f"level magnitude {abs(level)} exceeds limit at bit offset {self._pos}"
-                )
-            parts.append(np.array([level], dtype=np.int64))
+        if count:
+            self.read_se()
+            raise AssertionError(f"read_se took a code at bit offset {pos} that no window took")
         return np.concatenate(parts)
 
     def _parse_window(self, pos: int, width: int, count: int):
@@ -191,9 +188,8 @@ class BitReader:
 
 
 def level_bits(level: int) -> int:
-    """Exact signed exp-Golomb code length for a level."""
-    mapped = 2 * abs(level) - (1 if level > 0 else 0) if level else 0
-    return 2 * (mapped + 1).bit_length() - 1
+    """Exact signed exp-Golomb code length for a level of magnitude below 2^51."""
+    return int(level_bits_array(np.asarray(level)))
 
 
 def _signed_map(levels: np.ndarray) -> np.ndarray:
@@ -201,7 +197,8 @@ def _signed_map(levels: np.ndarray) -> np.ndarray:
 
 
 def level_bits_array(levels: np.ndarray) -> np.ndarray:
-    """level_bits of each element of an integer array of magnitude below 2^51."""
+    """Signed exp-Golomb code length of each element of an integer array of
+    magnitude below 2^51."""
     # frexp's exponent of an integer below 2^53 is exactly its bit length
     return 2 * np.frexp(_signed_map(levels) + 1)[1].astype(np.int64) - 1
 

@@ -40,21 +40,9 @@ def psnr(ref: np.ndarray, rec: np.ndarray, bit_depth: int) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _gaussian_window(size: int, sigma: float = 1.5) -> np.ndarray:
-    ax = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-0.5 * (ax / sigma) ** 2)
-    w = np.outer(g, g)
-    return w / w.sum()
-
-
-def ssim(
-    ref: np.ndarray,
-    rec: np.ndarray,
-    bit_depth: int,
-    window: int = SSIM_WINDOW,
-    gaussian: bool = False,
-) -> float:
-    """Mean local SSIM over sliding windows (uniform weights by default)."""
+def ssim(ref: np.ndarray, rec: np.ndarray, bit_depth: int) -> float:
+    """Mean local SSIM over uniformly weighted SSIM_WINDOW x SSIM_WINDOW windows."""
+    window = SSIM_WINDOW
     if ref.shape != rec.shape:
         raise StructuralError(f"plane shapes differ: {ref.shape} vs {rec.shape}")
     if min(ref.shape) < window:
@@ -66,19 +54,11 @@ def ssim(
 
     x = sliding_window_view(ref.astype(np.float64), (window, window))
     y = sliding_window_view(rec.astype(np.float64), (window, window))
-    if gaussian:
-        w = _gaussian_window(window)
-        mu_x = (x * w).sum(axis=(2, 3))
-        mu_y = (y * w).sum(axis=(2, 3))
-        var_x = (x * x * w).sum(axis=(2, 3)) - mu_x * mu_x
-        var_y = (y * y * w).sum(axis=(2, 3)) - mu_y * mu_y
-        cov = (x * y * w).sum(axis=(2, 3)) - mu_x * mu_y
-    else:
-        mu_x = x.mean(axis=(2, 3))
-        mu_y = y.mean(axis=(2, 3))
-        var_x = (x * x).mean(axis=(2, 3)) - mu_x * mu_x
-        var_y = (y * y).mean(axis=(2, 3)) - mu_y * mu_y
-        cov = (x * y).mean(axis=(2, 3)) - mu_x * mu_y
+    mu_x = x.mean(axis=(2, 3))
+    mu_y = y.mean(axis=(2, 3))
+    var_x = (x * x).mean(axis=(2, 3)) - mu_x * mu_x
+    var_y = (y * y).mean(axis=(2, 3)) - mu_y * mu_y
+    cov = (x * y).mean(axis=(2, 3)) - mu_x * mu_y
 
     score = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)

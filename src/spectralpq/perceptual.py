@@ -32,7 +32,6 @@ CHANNELS = ("G", "B", "R")
 class PerceptualConstants:
     qp_offset_mean: int = 6      # o: mean block-level offset; G uses o/2 floors
     qp_offset_max: int = 12      # upper clamp for B and R offsets
-    qp_offset_count: int = 12    # w: size of the offset pool o averages over
     activity_scale: int = 2      # B: bounds normalized activity in (1/B, B)
 
 
@@ -49,9 +48,6 @@ class ChannelActivity:
 
 @dataclass(frozen=True)
 class PerceptualQp:
-    channel: str
-    frame_qp: int
-    temporal_offset: int
     spatial_term: int
     total_offset: int
     qp: int
@@ -73,39 +69,31 @@ def frame_mean_activity(activities) -> float:
     return float(sum(acts)) / len(acts)
 
 
-def normalized_activity(g: float, frame_mean: float, scale: int = 2) -> float:
+def normalized_activity(g: float, frame_mean: float) -> float:
+    scale = DEFAULT_CONSTANTS.activity_scale
     return (scale * g + frame_mean) / (g + scale * frame_mean)
 
 
-def frame_activity(plane: np.ndarray, cus, channel: str,
-                   constants: PerceptualConstants = DEFAULT_CONSTANTS) -> list[ChannelActivity]:
-    """Activity statistics for every CU of one channel plane (what the
-    encoder's first pass computes)."""
+def frame_activity(plane: np.ndarray, cus, channel: str) -> list[ChannelActivity]:
+    """g, the frame mean H of g and the normalized activity a of every CU of
+    one channel plane, in the order of `cus`."""
     gs = [cb_activity(plane[cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]) for cu in cus]
     mean = frame_mean_activity(gs)
-    return [
-        ChannelActivity(channel, g, mean, normalized_activity(g, mean, constants.activity_scale))
-        for g in gs
-    ]
+    return [ChannelActivity(channel, g, mean, normalized_activity(g, mean)) for g in gs]
 
 
-def offset_range(channel: str, constants: PerceptualConstants = DEFAULT_CONSTANTS) -> tuple[int, int]:
-    o = constants.qp_offset_mean
+def offset_range(channel: str) -> tuple[int, int]:
+    o = DEFAULT_CONSTANTS.qp_offset_mean
     if channel == "G":
         return o // 2, o
-    return o, constants.qp_offset_max
+    return o, DEFAULT_CONSTANTS.qp_offset_max
 
 
-def temporal_offset(
-    magnitude: float,
-    frame_mean: float,
-    channel: str,
-    constants: PerceptualConstants = DEFAULT_CONSTANTS,
-) -> int:
+def temporal_offset(magnitude: float, frame_mean: float, channel: str) -> int:
     """Extra offset when a block's motion strictly exceeds the frame mean."""
     if magnitude <= frame_mean:
         return 0
-    o = constants.qp_offset_mean
+    o = DEFAULT_CONSTANTS.qp_offset_mean
     return o // 2 if channel == "G" else o
 
 
@@ -113,23 +101,16 @@ def spatial_term(a: float) -> int:
     return round_half_away(6.0 * math.log2(a))
 
 
-def perceptual_qp(
-    frame_qp: int,
-    a: float,
-    z: int,
-    channel: str,
-    constants: PerceptualConstants = DEFAULT_CONSTANTS,
-) -> PerceptualQp:
+def perceptual_qp(frame_qp: int, a: float, z: int, channel: str) -> PerceptualQp:
     """Channel-block QP: frame QP plus the clamped masking offset."""
-    lo, hi = offset_range(channel, constants)
+    lo, hi = offset_range(channel)
     term = spatial_term(a)
     total = min(max(z + term, lo), hi)
     assert lo <= total <= hi
     qp = min(max(frame_qp + total, QP_MIN), QP_MAX)
-    return PerceptualQp(channel, frame_qp, z, term, total, qp)
+    return PerceptualQp(term, total, qp)
 
 
-def adaptiveqp_offset(a_g: float, strength: int = 6, bounds: tuple[int, int] = (-6, 6)) -> int:
+def adaptiveqp_offset(a_g: float) -> int:
     """Anchor mode: symmetric G-driven delta applied to the whole CU."""
-    lo, hi = bounds
-    return min(max(round_half_away(strength * math.log2(a_g)), lo), hi)
+    return min(max(spatial_term(a_g), -6), 6)

@@ -21,8 +21,6 @@ from .errors import ConfigurationError, DecodeError
 from .frames import CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, pad_plane, partition
 from .motion import MotionField, MotionVector, estimate_motion_field
 from .perceptual import (
-    DEFAULT_CONSTANTS,
-    PerceptualConstants,
     adaptiveqp_offset,
     cb_activity,
     frame_mean_activity,
@@ -59,7 +57,6 @@ class EncoderConfig:
     cu_size: int = 32
     search_range: int = 16
     fps: int = 30
-    constants: PerceptualConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self):
         if not QP_MIN <= self.base_qp <= QP_MAX:
@@ -173,9 +170,6 @@ class SequenceStats:
     def total_bits(self) -> int:
         return sum(f.bits_total for f in self.frames)
 
-    def channel_bits(self, channel: str) -> int:
-        return sum(f.bits_channel.get(channel, 0) for f in self.frames)
-
 
 @dataclass
 class EncodeResult:
@@ -225,32 +219,33 @@ def _crop(recon, shape, dtype) -> Frame:
     return Frame(shape.width, shape.height, shape.bit_depth, planes)
 
 
-def _cu_qps(config, cu_index, activities, means, motion: Optional[MotionField]):
-    """Per-channel (qp, stat fields) for one CU, according to the mode."""
-    out = {}
-    d = motion.magnitudes[cu_index] if motion else 0.0
+def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> list:
+    """The frame's CbStat rows, CU-major then G, B, R: each channel block's
+    activity, masking terms and QP according to the mode."""
+    gs = {ch: [cb_activity(_block(orig[ch], cu)) for cu in tree] for ch in PLANE_ORDER}
+    means = {ch: frame_mean_activity(gs[ch]) for ch in PLANE_ORDER}
     f = motion.mean_magnitude if motion else 0.0
-    if config.mode == "anchor-flat":
-        for ch in PLANE_ORDER:
-            out[ch] = (config.base_qp, 0.0, 0, 0)
-        return out, d, f
-    if config.mode == "anchor-adaptiveqp":
-        a_g = normalized_activity(
-            activities["G"][cu_index], means["G"], config.constants.activity_scale
-        )
-        delta = adaptiveqp_offset(a_g)
-        qp = min(max(config.base_qp + delta, QP_MIN), QP_MAX)
-        for ch in PLANE_ORDER:
-            out[ch] = (qp, a_g, 0, delta)
-        return out, d, f
-    for ch in PLANE_ORDER:
-        a = normalized_activity(
-            activities[ch][cu_index], means[ch], config.constants.activity_scale
-        )
-        z = temporal_offset(d, f, ch, config.constants) if motion else 0
-        pqp = perceptual_qp(config.base_qp, a, z, ch, config.constants)
-        out[ch] = (pqp.qp, a, z, pqp.total_offset)
-    return out, d, f
+    cbs = []
+    for i in range(len(gs["G"])):
+        d = motion.magnitudes[i] if motion else 0.0
+        if config.mode == "anchor-flat":
+            for ch in PLANE_ORDER:
+                cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], 0.0, d, f, 0, 0,
+                                  config.base_qp))
+        elif config.mode == "anchor-adaptiveqp":
+            a_g = normalized_activity(gs["G"][i], means["G"])
+            delta = adaptiveqp_offset(a_g)
+            qp = min(max(config.base_qp + delta, QP_MIN), QP_MAX)
+            for ch in PLANE_ORDER:
+                cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], a_g, d, f, 0, delta, qp))
+        else:
+            for ch in PLANE_ORDER:
+                a = normalized_activity(gs[ch][i], means[ch])
+                z = temporal_offset(d, f, ch) if motion else 0
+                pqp = perceptual_qp(config.base_qp, a, z, ch)
+                cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], a, d, f, z,
+                                  pqp.total_offset, pqp.qp))
+    return cbs
 
 
 def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
@@ -280,30 +275,30 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         recon = {ch: np.zeros_like(orig[ch]) for ch in PLANE_ORDER}
         intra = idx % config.gop_length == 0
 
-        activities = {ch: [cb_activity(_block(orig[ch], cu)) for cu in tree] for ch in PLANE_ORDER}
-        means = {ch: frame_mean_activity(activities[ch]) for ch in PLANE_ORDER}
-
         motion = None if intra else estimate_motion_field(
             orig["G"], prev_recon["G"], tree, config.search_range
         )
-
-        fstat = FrameStats(idx, "I" if intra else "P")
+        cbs = _frame_cbs(config, idx, orig, tree, motion)
+        fstat = FrameStats(idx, "I" if intra else "P", cb=cbs)
         fstat.mean_mv_magnitude = motion.mean_magnitude if motion else None
         frame_start = writer.tell()
         writer.write_uint(0 if intra else 1, 1)
 
+        n = len(PLANE_ORDER)
         for cu_index, cu in enumerate(tree):
-            qps, d, f = _cu_qps(config, cu_index, activities, means, motion)
-            for ch in PLANE_ORDER:
-                writer.write_uint(qps[ch][0], QP_FIELD_BITS)
+            cu_cbs = cbs[n * cu_index : n * (cu_index + 1)]
+            for cb in cu_cbs:
+                writer.write_uint(cb.qp, QP_FIELD_BITS)
             mv = motion.vectors[cu_index] if motion else None
             if motion:
                 writer.write_se(mv.vx)
                 writer.write_se(mv.vy)
-                fstat.motion.append(MotionStat(idx, cu_index, mv.vx, mv.vy, d))
+                fstat.motion.append(
+                    MotionStat(idx, cu_index, mv.vx, mv.vy, motion.magnitudes[cu_index])
+                )
 
-            for ch in PLANE_ORDER:
-                qp, a, z, off = qps[ch]
+            for cb in cu_cbs:
+                ch, qp = cb.channel, cb.qp
                 pred = _predict(recon[ch], prev_recon[ch], cu, mv, bit_depth)
                 coeffs = forward(_block(orig[ch], cu) - pred, spec)
                 if config.rdoq:
@@ -314,10 +309,6 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
                 nbits = encode_block(levels, writer)
                 _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
                 fstat.bits_channel[ch] = fstat.bits_channel.get(ch, 0) + nbits
-                fstat.cb.append(
-                    CbStat(idx, cu_index, ch, activities[ch][cu_index], means[ch],
-                           a, d, f, z, off, qp)
-                )
 
         fstat.bits_total = writer.tell() - frame_start
         stats.frames.append(fstat)

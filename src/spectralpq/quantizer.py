@@ -126,15 +126,14 @@ def rdoq_cost(x: int, level: int, qp: int, n: int, cfg: RdoqConfig) -> float:
     return err * err + cfg.lam * level_bits(level)
 
 
-def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig | None = None) -> np.ndarray:
+def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig) -> np.ndarray:
     """Per-coefficient level choice minimizing distortion + lambda * bits.
 
     Candidates are evaluated in ascending order with strict improvement, so
     ties break toward the smaller level; relative to plain URQ rounding the
-    rate term only ever pulls levels down.
+    rate term only ever pulls levels down.  `cfg` carries the bit-depth
+    dependent multiplier (see rdoq_config).
     """
-    if cfg is None:
-        cfg = rdoq_config(qp, n)
     p = quant_params(qp, n)
     x = np.asarray(coeffs, dtype=np.int64)
     ax = np.abs(x)

@@ -58,7 +58,13 @@ def test_level_bits_matches_emitted_length():
 def test_level_bits_array_matches_level_bits():
     edges = [s * ((1 << k) + d) for k in range(50) for d in (-1, 0, 1) for s in (1, -1)]
     levels = np.array(list(range(-300, 301)) + edges, dtype=np.int64)
-    assert level_bits_array(levels).tolist() == [level_bits(int(v)) for v in levels]
+    emitted = []
+    for v in levels:
+        w = BitWriter()
+        w.write_se(int(v))
+        emitted.append(w.tell())
+    assert level_bits_array(levels).tolist() == emitted
+    assert [level_bits(int(v)) for v in levels] == emitted
 
 
 def test_writer_reader_inverse_random_fields():

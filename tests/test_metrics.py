@@ -72,16 +72,6 @@ def test_ssim_offset_invariance_within_tolerance():
         assert abs(ssim(ref + c, rec + c, 8) - base) <= 1e-3
 
 
-def test_ssim_gaussian_window_option():
-    rng = np.random.default_rng(6)
-    ref = rng.integers(0, 256, (32, 32)).astype(np.float64)
-    rec = np.clip(ref + rng.normal(0, 10, ref.shape), 0, 255)
-    uniform = ssim(ref, rec, 8)
-    gauss = ssim(ref, rec, 8, gaussian=True)
-    assert -1.0 <= gauss <= 1.0
-    assert abs(gauss - uniform) < 0.2
-
-
 def _frame(planes):
     g, b, r = planes
     return Frame(g.shape[1], g.shape[0], 8, (g.astype(np.uint8), b.astype(np.uint8), r.astype(np.uint8)))

@@ -53,13 +53,13 @@ def test_frame_mean_activity():
 
 def test_normalized_activity_values():
     assert normalized_activity(5.0, 5.0) == pytest.approx(1.0)
-    assert normalized_activity(16.0, 4.0, 2) == pytest.approx(1.5)
-    assert normalized_activity(1e12, 1.0, 2) == pytest.approx(2.0, abs=1e-5)
+    assert normalized_activity(16.0, 4.0) == pytest.approx(1.5)
+    assert normalized_activity(1e12, 1.0) == pytest.approx(2.0, abs=1e-5)
     rng = np.random.default_rng(67)
     for _ in range(500):
         g = 1.0 + rng.uniform(0.0, 1e4)
         h = 1.0 + rng.uniform(0.0, 1e4)
-        a = normalized_activity(g, h, 2)
+        a = normalized_activity(g, h)
         assert 0.5 < a < 2.0
 
 
@@ -157,5 +157,4 @@ def test_adaptiveqp_offsets():
     assert adaptiveqp_offset(0.7) < 0
     assert DEFAULT_CONSTANTS.qp_offset_mean == 6
     assert DEFAULT_CONSTANTS.qp_offset_max == 12
-    assert DEFAULT_CONSTANTS.qp_offset_count == 12
     assert DEFAULT_CONSTANTS.activity_scale == 2

@@ -11,7 +11,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from spectralpq.corpus import BENCH_NAMES
+from spectralpq.bench import write_cb_csv, write_motion_csv
+from spectralpq.corpus import BENCH_NAMES, moving_gradient
 from spectralpq.frames import Frame
 from spectralpq.pipeline import MODES, EncoderConfig, encode_sequence
 
@@ -122,3 +123,82 @@ def test_stream_digests_unchanged(corpus, name):
         stream = encode_sequence(frames, config).bitstream
         got[mode, qp, rdoq] = hashlib.sha256(stream).hexdigest()
     assert got == DIGESTS[name]
+
+
+# Many-CU grids: the first 3 frames (I P P) of the 160x160
+# high_motion_translation clip at QP 27, a 20x20 grid at CU 8 and 10x10 at
+# CU 16.  (mode, cu_size) -> SHA-256 of (stream, write_cb_csv output,
+# write_motion_csv output); the CSVs pin g, H, a, D, F, z and the offset,
+# which the stream does not carry.
+MANY_CU_QP = 27
+HIGH_MOTION_DIGESTS = {
+    ('anchor-flat', 8): (
+        "1dbda81e85133ffbfcb7775f53c0301f375c1e4d80b49eb4453b2f59f031f1f1",
+        "c193d8aa5c3e8f7c927dc5af624741d774012ca55ca9afe843cb3b13f78ac517",
+        "6739c3b43a37823bfe6913b163b228ac6571caecb0ac092a977d442a0aba910c",
+    ),
+    ('anchor-flat', 16): (
+        "846a28069373eeed3fd1855f5cb2b5151a53409c38b545b172f7ca07facca4a6",
+        "b8a6e66d3ddeaf87ca4cbc3cee6ff1daef366d3ce8d9811a4ec18e365b43b829",
+        "2af328ccd76c1c7e20608e5a3f14bfaedfb74dfa1ad34fd1c29938f707933863",
+    ),
+    ('anchor-adaptiveqp', 8): (
+        "98278a5ef56705795ee12d6f22542b2a508638570b81568da5c28e5db5f4a29c",
+        "c9c90a834574f018447d49413c37443f0586367ee2e075f677a3739de1817487",
+        "bc4fad4e8797759dbb02fede772084a5cfe38b20e071f1e42cdc6b3c906a02cc",
+    ),
+    ('anchor-adaptiveqp', 16): (
+        "2d928881cb9c2498ba124a27ef38493dffd45ce3b37fec0e942dbded21948bb0",
+        "cb164b97f7617639cf6d1e6fd2761c70ba8231381558544dfeba1979d7bad76b",
+        "2ffea1854dc8f0415224cbdae9145c8f0754834e2eb7f8d2e036f4cd8b4a8ca7",
+    ),
+    ('spectral-pq', 8): (
+        "d7e2679e39157fe398f68a2dfc2f27b3bc35a237cee6379fbd58b408fc8a6b23",
+        "a8373292bac2b7e5175cbd5fa381da32e6f7ad2837a25aa8f4b6d5ada05915b7",
+        "a5598810fc235dceb55060b249813f85dd4ff6aa84a1bac5f2360c33dde245b7",
+    ),
+    ('spectral-pq', 16): (
+        "1119c9315ea37dd7897e28be152e8c4e381ee156d3ac5a0e0e7b116702863548",
+        "4a8b25a2c1df51926420f8daec95c35776c6f78c20fb86487603f9a21c66f0e1",
+        "c309c093bf4e740d3b5ed86400bc242f5d82a261b45b5114060827cd4a3da7e6",
+    ),
+}
+
+# A width that is not a multiple of 64: the 200x136 top-left crop of
+# moving_gradient(size=200, frame_count=2), padded to 256x192, spectral-pq
+# at CU 8 and QP 27.  (bit_depth, rdoq) -> stream digest.
+CROP_DIGESTS = {
+    (8, True): "86d60d4af864ab4566285afa4fa5566e87b55269aac18a09407dbab296a52151",
+    (8, False): "c262b2ce3ab57aff8e965e711786498075b3c2f4930332ad65f72c0c72346770",
+    (10, True): "d7dd165f7f2af711366c52f28d464544ba9562c7adc3aa49be3cdf7528ca7b55",
+    (10, False): "030d03eb35c07475d332e6015e91471639e79fe88080ebea683cf0cb52c822fd",
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("mode, cu_size", sorted(HIGH_MOTION_DIGESTS))
+def test_many_cu_digests_unchanged(high_motion_sequence, tmp_path, mode, cu_size):
+    config = EncoderConfig(base_qp=MANY_CU_QP, mode=mode, cu_size=cu_size)
+    result = encode_sequence(high_motion_sequence.frames[:FRAMES], config)
+    write_cb_csv(result.stats, tmp_path / "cb.csv")
+    write_motion_csv(result.stats, tmp_path / "motion.csv")
+    got = tuple(
+        _sha256(data) for data in (result.bitstream, (tmp_path / "cb.csv").read_bytes(),
+                                   (tmp_path / "motion.csv").read_bytes())
+    )
+    assert got == HIGH_MOTION_DIGESTS[mode, cu_size]
+
+
+@pytest.mark.parametrize("bit_depth, rdoq", sorted(CROP_DIGESTS))
+def test_unaligned_crop_digests_unchanged(bit_depth, rdoq):
+    frames = []
+    for frame in moving_gradient(size=200, frame_count=2).frames:
+        planes = tuple(p[:136, :200] for p in frame.planes)
+        frames.append(Frame(200, 136, 8, planes))
+    if bit_depth == 10:
+        frames = [_ten_bit(f) for f in frames]
+    config = EncoderConfig(base_qp=MANY_CU_QP, mode="spectral-pq", cu_size=8, rdoq=rdoq)
+    assert _sha256(encode_sequence(frames, config).bitstream) == CROP_DIGESTS[bit_depth, rdoq]
