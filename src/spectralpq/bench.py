@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import CorpusSequence
-from .errors import CodecError
+from .errors import CodecError, ConfigurationError
 from .frames import PLANE_ORDER
 from .metrics import sequence_psnr, ssim
 from .pipeline import EncodeResult, EncoderConfig, decode_sequence, encode_sequence
@@ -90,21 +90,12 @@ def verify_cell(result: EncodeResult) -> None:
 
 
 def run_cell(
-    seq: CorpusSequence,
-    qp: int,
-    mode: str,
-    rdoq: bool = True,
-    gop_length: int = 8,
-    cu_size: int = 32,
-    search_range: int = 16,
+    seq: CorpusSequence, qp: int, mode: str, **options
 ) -> tuple[ExperimentRow, Optional[EncodeResult]]:
     """Encode, decode-verify, and measure one (sequence, qp, mode) cell."""
     row = ExperimentRow(seq.name, mode, qp)
     try:
-        config = EncoderConfig(
-            base_qp=qp, mode=mode, rdoq=rdoq, gop_length=gop_length,
-            cu_size=cu_size, search_range=search_range, fps=seq.fps,
-        )
+        config = EncoderConfig(base_qp=qp, mode=mode, fps=seq.fps, **options)
         result = encode_sequence(seq.frames, config)
         verify_cell(result)
         row.kbps = kbps(len(result.bitstream) * 8, len(seq.frames), seq.fps)
@@ -131,23 +122,24 @@ def run_experiment(
     sequences: list[CorpusSequence],
     qps: list[int],
     modes: list[str],
-    rdoq: bool = True,
-    gop_length: int = 8,
-    cu_size: int = 32,
-    search_range: int = 16,
     workers: int = 1,
     qp_map_dir: Optional[Path] = None,
+    **options,
 ) -> list[ExperimentRow]:
     """Full sweep over sequences x qps x modes with reductions vs ANCHOR_MODE.
 
-    Cells run independently (optionally on a worker pool); rows come back in
+    `options` are EncoderConfig settings shared by every cell.  Cells run
+    independently (optionally on a worker pool); rows come back in
     deterministic (sequence, qp, mode) order regardless of completion order.
     """
+    names = [seq.name for seq in sequences]
+    if len(set(names)) < len(names):
+        dup = next(name for name in names if names.count(name) > 1)
+        raise ConfigurationError(f"sequence names must be unique; {dup!r} appears twice")
     cells = [(seq, qp, mode) for seq in sequences for qp in qps for mode in modes]
 
     def work(cell):
-        seq, qp, mode = cell
-        return run_cell(seq, qp, mode, rdoq, gop_length, cu_size, search_range)
+        return run_cell(*cell, **options)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -155,28 +147,20 @@ def run_experiment(
     else:
         outcomes = [work(c) for c in cells]
 
-    by_key = {}
-    for (seq, qp, mode), (row, result) in zip(cells, outcomes):
-        by_key[(seq.name, qp, mode)] = (row, result)
-        if qp_map_dir is not None and result is not None:
-            write_qp_maps(result, qp_map_dir, seq.name, mode, qp)
+    if qp_map_dir is not None:
+        for (seq, qp, mode), (_, result) in zip(cells, outcomes):
+            if result is not None:
+                write_qp_maps(result, qp_map_dir, seq.name, mode, qp)
 
-    rows = []
-    for seq in sequences:
-        for qp in qps:
-            anchor = by_key.get((seq.name, qp, ANCHOR_MODE))
-            for mode in modes:
-                row, _ = by_key[(seq.name, qp, mode)]
-                if (
-                    anchor is not None
-                    and anchor[0].status == "ok"
-                    and row.status == "ok"
-                    and mode != ANCHOR_MODE
-                ):
-                    row.reduction_pct = bitrate_reduction(row.kbps, anchor[0].kbps)
-                elif mode == ANCHOR_MODE and row.status == "ok":
-                    row.reduction_pct = 0.0
-                rows.append(row)
+    rows = [row for row, _ in outcomes]
+    anchors = {(r.sequence, r.base_qp): r.kbps for r in rows
+               if r.mode == ANCHOR_MODE and r.status == "ok"}
+    for row in rows:
+        ref = anchors.get((row.sequence, row.base_qp))
+        if row.status == "ok" and ref is not None:
+            row.reduction_pct = (
+                0.0 if row.mode == ANCHOR_MODE else bitrate_reduction(row.kbps, ref)
+            )
     return rows
 
 
@@ -200,10 +184,10 @@ def write_cb_csv(stats, path) -> None:
 def write_motion_csv(stats, path) -> None:
     with open(path, "w") as fh:
         fh.write("frame,cu,vx,vy,magnitude,frame_mean\n")
-        for fstat in stats.frames:
-            mean = fstat.mean_mv_magnitude
-            for m in fstat.motion:
-                fh.write(f"{m.frame},{m.cu},{m.vx},{m.vy},{m.magnitude:.4f},{mean:.4f}\n")
+        for fstat in (f for f in stats.frames if f.motion):
+            m = fstat.motion
+            for cu, (mv, mag) in enumerate(zip(m.vectors, m.magnitudes)):
+                fh.write(f"{fstat.index},{cu},{mv.vx},{mv.vy},{mag:.4f},{m.mean_magnitude:.4f}\n")
 
 
 def write_qp_maps(result: EncodeResult, outdir, sequence: str, mode: str, qp: int) -> None:

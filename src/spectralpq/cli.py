@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .corpus import CorpusSequence, make_corpus
 from .errors import CodecError
-from .frames import CU_SIZES, load_sequence, save_sequence
+from .frames import CU_SIZES, PLANE_ORDER, load_sequence, save_sequence
 from .metrics import quality_report
 from .pipeline import MODES, EncoderConfig, decode_sequence, encode_sequence, stream_header
 from .quantizer import BLOCK_SIZES, quant_params
@@ -150,9 +150,9 @@ def cmd_metrics(args) -> int:
     for i, (ref, rec) in enumerate(zip(refs, recs)):
         rep = quality_report(ref, rec)
         psnrs = ",".join(
-            "inf" if math.isinf(rep.psnr[ch]) else f"{rep.psnr[ch]:.2f}" for ch in "GBR"
+            "inf" if math.isinf(rep.psnr[ch]) else f"{rep.psnr[ch]:.2f}" for ch in PLANE_ORDER
         )
-        ssims = ",".join(f"{rep.ssim[ch]:.4f}" for ch in "GBR")
+        ssims = ",".join(f"{rep.ssim[ch]:.4f}" for ch in PLANE_ORDER)
         lines.append(f"{i},{psnrs},{ssims},{rep.ssim_mean:.4f},{int(rep.visually_lossless)}")
     text = "\n".join(lines) + "\n"
     if args.csv:

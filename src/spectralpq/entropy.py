@@ -278,7 +278,5 @@ def decode_block(reader: BitReader, n: int) -> np.ndarray:
 
 
 def block_bits(levels: np.ndarray) -> int:
-    """Size of encode_block's output without writing it."""
-    coded = scan_block(levels)
-    levels_bits = level_bits_array(coded.scan[: coded.last_significant + 1])
-    return _token_bits(levels.shape[0]) + int(levels_bits.sum())
+    """Size of encode_block's output, written to a scratch writer."""
+    return encode_block(levels, BitWriter())

@@ -40,6 +40,8 @@ class Frame:
             raise ConfigurationError(
                 f"frame dimensions must be >= 1, got {self.width}x{self.height}"
             )
+        if len(self.planes) != len(PLANE_ORDER):
+            raise StructuralError(f"frame needs 3 planes (G, B, R), got {len(self.planes)}")
         for name, plane in zip(PLANE_ORDER, self.planes):
             if plane.shape != (self.height, self.width):
                 raise StructuralError(
@@ -106,9 +108,10 @@ def load_sequence(
 ) -> list[Frame]:
     """Read a raw planar sequence file.
 
-    frame_count=None reads every complete frame in the file.  Short files and
-    out-of-range 10-bit samples raise IngestionError naming the frame, plane,
-    and byte offset of the first offending sample.
+    frame_count=None reads every complete frame in the file.  A negative
+    frame_count, a short file and out-of-range 10-bit samples raise
+    IngestionError; the last names the frame, plane, and byte offset of the
+    first offending sample.
     """
     if width < 1 or height < 1:
         raise IngestionError(f"{path}: frame dimensions must be >= 1, got {width}x{height}")
@@ -116,31 +119,25 @@ def load_sequence(
     fsize = frame_size_bytes(width, height, bit_depth)
     if frame_count is None:
         frame_count = data.size // fsize
+    if frame_count < 0:
+        raise IngestionError(f"{path}: frame count must be >= 0, got {frame_count}")
     if data.size < frame_count * fsize:
         raise IngestionError(
             f"{path}: need {frame_count * fsize} bytes for {frame_count} "
             f"frame(s) of {width}x{height}@{bit_depth}bit, file has {data.size}"
         )
 
-    dtype = _sample_dtype(bit_depth)
-    plane_bytes = width * height * dtype.itemsize
-    frames = []
-    for f in range(frame_count):
-        planes = []
-        for p, name in enumerate(PLANE_ORDER):
-            off = f * fsize + p * plane_bytes
-            plane = data[off : off + plane_bytes].view(dtype).reshape(height, width)
-            if bit_depth == 10:
-                bad = np.argwhere(plane > 1023)
-                if bad.size:
-                    r, c = bad[0]
-                    raise IngestionError(
-                        f"{path}: 10-bit sample {int(plane[r, c])} > 1023 in frame {f}"
-                        f" plane {name} at byte offset {off + 2 * (r * width + c)}"
-                    )
-            planes.append(plane.copy())
-        frames.append(Frame(width, height, bit_depth, tuple(planes)))
-    return frames
+    samples = data[: frame_count * fsize].view(_sample_dtype(bit_depth))
+    samples = samples.reshape(frame_count, len(PLANE_ORDER), height, width)
+    if bit_depth == 10 and samples.size and samples.max() > 1023:
+        i = int(np.argmax(samples.ravel() > 1023))
+        f, p = np.unravel_index(i, samples.shape)[:2]
+        raise IngestionError(
+            f"{path}: 10-bit sample {int(samples.flat[i])} > 1023 in frame {f}"
+            f" plane {PLANE_ORDER[p]} at byte offset {2 * i}"
+        )
+    return [Frame(width, height, bit_depth, tuple(plane.copy() for plane in planes))
+            for planes in samples]
 
 
 def save_sequence(path, frames: list[Frame]) -> None:
@@ -159,12 +156,6 @@ def pad_plane(plane: np.ndarray, multiple: int) -> np.ndarray:
     if ph == 0 and pw == 0:
         return plane
     return np.pad(plane, ((0, ph), (0, pw)), mode="edge")
-
-
-def pad_frame(frame: Frame, multiple: int = DEFAULT_CTU_SIZE) -> Frame:
-    planes = tuple(pad_plane(p, multiple) for p in frame.planes)
-    h, w = planes[0].shape
-    return Frame(w, h, frame.bit_depth, planes)
 
 
 def partition(frame: Frame, cu_size: int = 32) -> BlockTree:

@@ -25,9 +25,6 @@ import numpy as np
 from .frames import subblocks
 from .quantizer import QP_MAX, QP_MIN
 
-CHANNELS = ("G", "B", "R")
-
-
 @dataclass(frozen=True)
 class PerceptualConstants:
     qp_offset_mean: int = 6      # o: mean block-level offset; G uses o/2 floors

@@ -142,23 +142,13 @@ class CbStat:
 
 
 @dataclass
-class MotionStat:
-    frame: int
-    cu: int
-    vx: int
-    vy: int
-    magnitude: float
-
-
-@dataclass
 class FrameStats:
     index: int
     frame_type: str                       # "I" or "P"
     bits_channel: dict = field(default_factory=dict)
     bits_total: int = 0
-    mean_mv_magnitude: Optional[float] = None
     cb: list = field(default_factory=list)
-    motion: list = field(default_factory=list)
+    motion: Optional[MotionField] = None  # the frame's motion search; None for I-frames
 
 
 @dataclass
@@ -279,8 +269,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
             orig["G"], prev_recon["G"], tree, config.search_range
         )
         cbs = _frame_cbs(config, idx, orig, tree, motion)
-        fstat = FrameStats(idx, "I" if intra else "P", cb=cbs)
-        fstat.mean_mv_magnitude = motion.mean_magnitude if motion else None
+        fstat = FrameStats(idx, "I" if intra else "P", cb=cbs, motion=motion)
         frame_start = writer.tell()
         writer.write_uint(0 if intra else 1, 1)
 
@@ -293,9 +282,6 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
             if motion:
                 writer.write_se(mv.vx)
                 writer.write_se(mv.vy)
-                fstat.motion.append(
-                    MotionStat(idx, cu_index, mv.vx, mv.vy, motion.magnitudes[cu_index])
-                )
 
             for cb in cu_cbs:
                 ch, qp = cb.channel, cb.qp

@@ -11,6 +11,7 @@ from spectralpq.bench import (
     write_qp_maps,
 )
 from spectralpq.corpus import CorpusSequence, moving_object
+from spectralpq.errors import ConfigurationError
 from spectralpq.pipeline import EncoderConfig, encode_sequence
 
 from golden_reductions import GOLDEN_ROWS, INCONSISTENT_ROWS
@@ -88,6 +89,29 @@ def test_run_experiment_worker_pool_same_output(tiny_sequence):
     assert rows_to_csv(run_experiment(*args)) == rows_to_csv(run_experiment(*args, workers=4))
 
 
+def test_run_experiment_passes_settings_through(tiny_sequence):
+    options = dict(rdoq=False, gop_length=2, cu_size=16, search_range=4)
+    modes = ["anchor-flat", "spectral-pq"]
+    rows = run_experiment([tiny_sequence], [37], modes, **options)
+    assert [row.status for row in rows] == ["ok", "ok"]
+    for row, mode in zip(rows, modes):
+        config = EncoderConfig(base_qp=37, mode=mode, fps=tiny_sequence.fps, **options)
+        result = encode_sequence(tiny_sequence.frames, config)
+        bits = len(result.bitstream) * 8
+        assert row.kbps == kbps(bits, len(tiny_sequence.frames), tiny_sequence.fps)
+
+
+def test_run_experiment_reports_unknown_option_per_row(tiny_sequence):
+    rows = run_experiment([tiny_sequence], [37], ["anchor-flat"], cu_sise=16)
+    assert rows[0].status.startswith("error:") and "cu_sise" in rows[0].status
+
+
+def test_run_experiment_rejects_duplicate_sequence_names(tiny_sequence):
+    other = CorpusSequence("tiny", moving_object(frame_count=2, seed=5).frames, fps=30)
+    with pytest.raises(ConfigurationError, match="'tiny'"):
+        run_experiment([tiny_sequence, other], [37], ["anchor-flat", "spectral-pq"])
+
+
 def test_stat_csv_writers(tmp_path, tiny_sequence):
     result = encode_sequence(tiny_sequence.frames, EncoderConfig(base_qp=32))
     cb_path = tmp_path / "cb.csv"
@@ -101,7 +125,8 @@ def test_stat_csv_writers(tmp_path, tiny_sequence):
 
     mv_lines = mv_path.read_text().splitlines()
     assert mv_lines[0] == "frame,cu,vx,vy,magnitude,frame_mean"
-    assert len(mv_lines) == 1 + sum(len(f.motion) for f in result.stats.frames)
+    motion_rows = sum(len(f.motion.vectors) for f in result.stats.frames if f.motion)
+    assert len(mv_lines) == 1 + motion_rows
 
 
 def test_qp_map_dump(tmp_path, tiny_sequence):

@@ -6,7 +6,7 @@ from spectralpq.frames import (
     Frame,
     frame_size_bytes,
     load_sequence,
-    pad_frame,
+    pad_plane,
     partition,
     save_sequence,
     subblocks,
@@ -65,6 +65,35 @@ def test_10bit_out_of_range_error_names_location(tmp_path):
         load_sequence(p, 2, 2, 10, 1)
 
 
+@pytest.mark.parametrize("frame,plane,index", [(0, 0, 0), (1, 2, 5), (2, 1, 3)])
+def test_10bit_error_names_first_bad_sample(tmp_path, frame, plane, index):
+    p = tmp_path / "seq.raw"
+    data = np.zeros((3, 3, 2, 3), dtype="<u2")
+    data[frame, plane].flat[index] = 1500
+    data[2, 2, 1, 2] = 1024  # a later bad sample is not the one reported
+    p.write_bytes(data.tobytes())
+    offset = 2 * ((frame * 3 + plane) * 6 + index)
+    name = "GBR"[plane]
+    message = f"sample 1500 > 1023 in frame {frame} plane {name} at byte offset {offset}$"
+    with pytest.raises(IngestionError, match=message):
+        load_sequence(p, 3, 2, 10)
+
+
+def test_load_rejects_negative_frame_count(tmp_path):
+    p = tmp_path / "seq.raw"
+    p.write_bytes(bytes(12 * 3))
+    with pytest.raises(IngestionError, match="frame count must be >= 0, got -1"):
+        load_sequence(p, 2, 2, 8, -1)
+    assert load_sequence(p, 2, 2, 8, 0) == []
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_frame_rejects_wrong_plane_count(count):
+    plane = np.zeros((2, 2), dtype=np.uint8)
+    with pytest.raises(StructuralError, match=f"frame needs 3 planes \\(G, B, R\\), got {count}"):
+        Frame(2, 2, 8, tuple(plane.copy() for _ in range(count)))
+
+
 @pytest.mark.parametrize("bit_depth", [8, 10])
 def test_save_load_round_trip_byte_identical(tmp_path, bit_depth):
     rng = np.random.default_rng(3)
@@ -91,12 +120,11 @@ def _frame(width, height, fill=0, bit_depth=8):
 def test_pad_preserves_and_is_idempotent():
     rng = np.random.default_rng(4)
     plane = rng.integers(0, 256, (60, 100), dtype=np.uint8)
-    frame = Frame(100, 60, 8, (plane, plane.copy(), plane.copy()))
-    padded = pad_frame(frame, 64)
-    assert (padded.width, padded.height) == (128, 64)
-    assert np.array_equal(padded.planes[0][:60, :100], plane)
-    again = pad_frame(padded, 64)
-    assert np.array_equal(again.planes[0], padded.planes[0])
+    padded = pad_plane(plane, 64)
+    assert padded.shape == (64, 128)
+    assert np.array_equal(padded[:60, :100], plane)
+    again = pad_plane(padded, 64)
+    assert np.array_equal(again, padded)
 
 
 def test_partition_counts_and_padding():

@@ -295,4 +295,4 @@ def test_gop_structure_marks_intra_frames():
     types = [f.frame_type for f in result.stats.frames]
     assert types == ["I", "P", "P", "P", "I", "P", "P", "P", "I", "P"]
     for f in result.stats.frames:
-        assert (f.mean_mv_magnitude is None) == (f.frame_type == "I")
+        assert (f.motion is None) == (f.frame_type == "I")
