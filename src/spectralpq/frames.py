@@ -108,19 +108,21 @@ def load_sequence(
 ) -> list[Frame]:
     """Read a raw planar sequence file.
 
-    frame_count=None reads every complete frame in the file.  A negative
+    frame_count=None reads every complete frame in the file; otherwise only
+    the bytes of the first frame_count frames are read.  A negative
     frame_count, a short file and out-of-range 10-bit samples raise
     IngestionError; the last names the frame, plane, and byte offset of the
     first offending sample.
     """
     if width < 1 or height < 1:
         raise IngestionError(f"{path}: frame dimensions must be >= 1, got {width}x{height}")
-    data = np.fromfile(path, dtype=np.uint8)
     fsize = frame_size_bytes(width, height, bit_depth)
+    if frame_count is not None and frame_count < 0:
+        raise IngestionError(f"{path}: frame count must be >= 0, got {frame_count}")
+    count = -1 if frame_count is None else frame_count * fsize
+    data = np.fromfile(path, dtype=np.uint8, count=count)
     if frame_count is None:
         frame_count = data.size // fsize
-    if frame_count < 0:
-        raise IngestionError(f"{path}: frame count must be >= 0, got {frame_count}")
     if data.size < frame_count * fsize:
         raise IngestionError(
             f"{path}: need {frame_count * fsize} bytes for {frame_count} "

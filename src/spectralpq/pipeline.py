@@ -59,6 +59,11 @@ class EncoderConfig:
     fps: int = 30
 
     def __post_init__(self):
+        for name in ("base_qp", "gop_length", "cu_size", "search_range", "fps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers become ints
         if not QP_MIN <= self.base_qp <= QP_MAX:
             raise ConfigurationError(f"base_qp must be in [0, 51], got {self.base_qp}")
         if self.mode not in MODES:

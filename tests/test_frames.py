@@ -87,6 +87,25 @@ def test_load_rejects_negative_frame_count(tmp_path):
     assert load_sequence(p, 2, 2, 8, 0) == []
 
 
+def test_frame_count_reads_only_the_frames_asked_for(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    p = tmp_path / "seq.raw"
+    first = _raw_frame_bytes(6, 4, 10, rng)
+    p.write_bytes(first + _raw_frame_bytes(6, 4, 10, rng) * 2 + bytes(7))
+    read_sizes = []
+    fromfile = np.fromfile
+
+    def recording_fromfile(*args, **kwargs):
+        data = fromfile(*args, **kwargs)
+        read_sizes.append(data.size)
+        return data
+
+    monkeypatch.setattr(np, "fromfile", recording_fromfile)
+    (frame,) = load_sequence(p, 6, 4, 10, 1)
+    assert read_sizes == [len(first)]
+    assert b"".join(plane.astype("<u2").tobytes() for plane in frame.planes) == first
+
+
 @pytest.mark.parametrize("count", [2, 4])
 def test_frame_rejects_wrong_plane_count(count):
     plane = np.zeros((2, 2), dtype=np.uint8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectralpq.frames import Frame, partition
+from spectralpq.frames import BlockTree, Frame, partition
 from spectralpq.motion import (
     MotionVector,
     estimate_motion_field,
@@ -103,3 +103,53 @@ def test_field_mean_and_translation_consistency():
         if 0 < r < rows - 1 and 0 < c < cols - 1:  # interior only (no wrap seam)
             assert (field.vectors[idx].vx, field.vectors[idx].vy) == (-a, -b)
             assert field.magnitudes[idx] == pytest.approx(np.hypot(a, b))
+
+
+# Differential test: the pruned search against a per-CU brute force that
+# evaluates every SAD in the clamped window.
+
+def _brute_force_mv(block, ref, x, y, search_range):
+    size = block.shape[0]
+    h, w = ref.shape
+    sads = {}
+    for vy in range(max(-search_range, -y), min(search_range, h - size - y) + 1):
+        for vx in range(max(-search_range, -x), min(search_range, w - size - x) + 1):
+            window = ref[y + vy : y + vy + size, x + vx : x + vx + size]
+            sads[vx, vy] = int(np.abs(window.astype(np.int64) - block).sum())
+    vx, vy = min(sads, key=lambda v: (sads[v], v[0] ** 2 + v[1] ** 2, v[1], v[0]))
+    return MotionVector(vx, vy)
+
+
+def _plane_pair(kind, h, w):
+    rng = np.random.default_rng(67)
+    if kind == "random":
+        ref = rng.integers(0, 256, (h, w))
+        cur = np.clip(np.roll(ref, (2, -3), axis=(0, 1)) + rng.integers(-6, 7, (h, w)), 0, 255)
+    elif kind == "stripes":  # period 2 in both directions: the tie-break decides
+        ref = np.tile(np.array([[0, 255], [255, 0]]), (h // 2, w // 2))
+        cur = np.roll(ref, 1, axis=0)
+        cur[h // 4 : h // 2, : w // 2] = 128  # a patch no candidate matches
+    elif kind == "flat":  # every bound is zero: nothing is pruned
+        ref = np.full((h, w), 99)
+        cur = np.full((h, w), 99)
+    else:  # 10-bit extremes: the largest SADs the search can meet
+        ref = rng.choice([0, 1023], (h, w))
+        cur = 1023 - np.roll(ref, 1, axis=1)
+        cur[: h // 2] = rng.choice([0, 1023], (h // 2, w))
+    return cur.astype(np.int64), ref.astype(np.int64)
+
+
+@pytest.mark.parametrize("search_range", [0, 1, 5, 100])
+@pytest.mark.parametrize("cu_size", [8, 16, 32])
+@pytest.mark.parametrize("kind", ["random", "stripes", "flat", "10bit"])
+def test_pruned_search_equals_brute_force(kind, cu_size, search_range):
+    h, w = (32, 64) if search_range == 100 else (64, 96)
+    cur, ref = _plane_pair(kind, h, w)
+    tree = BlockTree(w, h, cu_size)
+    field = estimate_motion_field(cur, ref, tree, search_range)
+    for cu, vector in zip(tree, field.vectors):  # every CU, edges included
+        block = cur[cu.y : cu.y + cu_size, cu.x : cu.x + cu_size]
+        expected = _brute_force_mv(block, ref, cu.x, cu.y, search_range)
+        assert vector == expected, (cu, vector, expected)
+        assert estimate_mv(block, ref, cu.x, cu.y, search_range) == expected
+    assert field.magnitudes == [mv_magnitude(v) for v in field.vectors]

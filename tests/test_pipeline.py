@@ -219,6 +219,24 @@ def test_config_validation():
         encode_sequence(mixed, EncoderConfig(base_qp=22))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("base_qp", 27.5), ("gop_length", 1.5), ("cu_size", 32.0), ("search_range", 2.5),
+    ("fps", 30.0), ("fps", "30"), ("gop_length", True), ("search_range", False),
+])
+def test_non_integer_settings_rejected_at_config(name, value):
+    options = {"base_qp": 22, name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        EncoderConfig(**options)
+
+
+def test_numpy_integer_settings_accepted():
+    settings = dict(base_qp=np.int64(30), gop_length=np.int32(2), cu_size=np.int64(32),
+                    search_range=np.uint8(4), fps=np.int16(25))
+    numpy_result = encode_sequence(_noise_frames(2), EncoderConfig(**settings))
+    plain = {name: int(value) for name, value in settings.items()}
+    assert numpy_result.bitstream == encode_sequence(_noise_frames(2), EncoderConfig(**plain)).bitstream
+
+
 def test_fps_beyond_header_field_rejected_at_config():
     EncoderConfig(base_qp=22, fps=65535)
     with pytest.raises(ConfigurationError, match="fps"):
