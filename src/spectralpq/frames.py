@@ -24,6 +24,15 @@ DEFAULT_CTU_SIZE = 64    # frames are padded to a multiple of this
 CU_SIZES = (8, 16, 32)
 
 
+def _store_integers(obj, names) -> None:
+    """Store each named field as an int; a bool or other non-integer raises ConfigurationError."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))  # numpy integers become ints
+
+
 @dataclass
 class Frame:
     """One RGB 4:4:4 picture: equal-sized G, B, R planes."""
@@ -34,6 +43,7 @@ class Frame:
     planes: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
+        _store_integers(self, ("width", "height", "bit_depth"))
         if self.bit_depth not in (8, 10):
             raise ConfigurationError(f"bit depth must be 8 or 10, got {self.bit_depth}")
         if self.width < 1 or self.height < 1:
@@ -151,13 +161,13 @@ def save_sequence(path, frames: list[Frame]) -> None:
 
 
 def pad_plane(plane: np.ndarray, multiple: int) -> np.ndarray:
-    """Edge-replicate a plane up to the next multiple of `multiple`."""
-    h, w = plane.shape
+    """Edge-replicate a plane, or each plane of a stack, up to the next multiple of `multiple`."""
+    h, w = plane.shape[-2:]
     ph = (-h) % multiple
     pw = (-w) % multiple
     if ph == 0 and pw == 0:
         return plane
-    return np.pad(plane, ((0, ph), (0, pw)), mode="edge")
+    return np.pad(plane, ((0, 0),) * (plane.ndim - 2) + ((0, ph), (0, pw)), mode="edge")
 
 
 def partition(frame: Frame, cu_size: int = 32) -> BlockTree:

@@ -69,7 +69,7 @@ class _Reference:
 
     def __init__(self, reference: np.ndarray, size: int):
         self.sub = math.gcd(size, SUB_BLOCK)
-        reference = reference.astype(np.int32)
+        reference = np.asarray(reference, dtype=np.int32)
         span = size - self.sub + 1
         sums = _box_sums(reference, self.sub)
         self.windows = sliding_window_view(reference, (size, size))
@@ -138,7 +138,7 @@ def estimate_motion_field(
     """
     size = tree.cu_size
     ref = _Reference(reference_g, size)
-    current = current_g.astype(np.int32)
+    current = np.asarray(current_g, dtype=np.int32)
     sub = ref.sub
     sums = ref.block_sums(current)
     cols = tree.grid_shape[1]

@@ -18,7 +18,9 @@ import numpy as np
 
 from .entropy import BitReader, BitWriter, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
-from .frames import CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, pad_plane, partition
+from .frames import (
+    CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane, partition,
+)
 from .motion import MotionField, MotionVector, estimate_motion_field
 from .perceptual import (
     adaptiveqp_offset,
@@ -35,6 +37,7 @@ MAGIC = b"SPQ1"
 MODES = ("anchor-flat", "anchor-adaptiveqp", "spectral-pq")
 QP_FIELD_BITS = 6
 MAX_FRAME_SAMPLES = 1 << 26    # cap on width * height, checked on encode and decode
+PLANE_DTYPE = np.int32         # padded pictures; residual and transform arithmetic is int64
 
 # Header fields after the magic, in stream order, with their widths in bits.
 HEADER_FIELDS = {"width": 16, "height": 16, "bit_depth": 8, "fps": 16,
@@ -59,11 +62,10 @@ class EncoderConfig:
     fps: int = 30
 
     def __post_init__(self):
-        for name in ("base_qp", "gop_length", "cu_size", "search_range", "fps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers become ints
+        _store_integers(self, ("base_qp", "gop_length", "cu_size", "search_range", "fps"))
+        if not isinstance(self.rdoq, (bool, np.bool_)):
+            raise ConfigurationError(f"rdoq must be a bool, got {self.rdoq!r}")
+        object.__setattr__(self, "rdoq", bool(self.rdoq))
         if not QP_MIN <= self.base_qp <= QP_MAX:
             raise ConfigurationError(f"base_qp must be in [0, 51], got {self.base_qp}")
         if self.mode not in MODES:
@@ -176,48 +178,49 @@ class EncodeResult:
 def intra_predict_dc(
     recon: np.ndarray, x: int, y: int, size: int, bit_depth: int
 ) -> np.ndarray:
-    """Constant block from reconstructed top-row/left-column neighbors."""
+    """Constant block from reconstructed top-row/left-column neighbors; `recon`
+    is a plane or a stack of planes, and each plane gets its own DC block."""
     refs = []
     if y > 0:
-        refs.append(recon[y - 1, x : x + size])
+        refs.append(recon[..., y - 1, x : x + size])
     if x > 0:
-        refs.append(recon[y : y + size, x - 1])
-    if not refs:
-        value = 1 << (bit_depth - 1)
-    else:
-        samples = np.concatenate(refs).astype(np.int64)
-        value = int((samples.sum() + samples.size // 2) // samples.size)
-    return np.full((size, size), value, dtype=np.int64)
+        refs.append(recon[..., y : y + size, x - 1])
+    value = np.full(recon.shape[:-2], 1 << (bit_depth - 1), dtype=np.int64)
+    if refs:
+        samples = np.concatenate(refs, axis=-1).astype(np.int64)
+        value = (samples.sum(axis=-1) + samples.shape[-1] // 2) // samples.shape[-1]
+    return np.full(recon.shape[:-2] + (size, size), value[..., None, None], dtype=np.int64)
 
 
-def _block(plane, cu):
-    return plane[cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]
+def _block(planes, cu):
+    return planes[..., cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]
 
 
-def _predict(recon_plane, prev_plane, cu, mv: Optional[MotionVector], bit_depth):
-    """DC prediction when mv is None, else motion compensation from prev_plane."""
+def _predict(recon, prev, cu, mv: Optional[MotionVector], bit_depth):
+    """DC prediction when mv is None, else motion compensation from `prev`;
+    `recon` and `prev` are planes or stacks of planes."""
     if mv is None:
-        return intra_predict_dc(recon_plane, cu.x, cu.y, cu.size, bit_depth)
+        return intra_predict_dc(recon, cu.x, cu.y, cu.size, bit_depth)
     x, y = cu.x + mv.vx, cu.y + mv.vy
-    return prev_plane[y : y + cu.size, x : x + cu.size]
+    return prev[..., y : y + cu.size, x : x + cu.size]
 
 
-def _reconstruct_cb(recon_plane, cu, pred, levels, qp, bit_depth, spec):
-    """Decode the levels onto the prediction and store the block at the CU."""
-    residual = inverse(urq_dequantize(levels, qp, cu.size), spec)
-    _block(recon_plane, cu)[...] = np.clip(pred + residual, 0, (1 << bit_depth) - 1)
+def _reconstruct(recon, cu, pred, levels, qps, bit_depth, spec):
+    """Decode a CU's levels blocks onto its prediction stack and store the result at the CU."""
+    coeffs = np.stack([urq_dequantize(lv, qp, cu.size) for lv, qp in zip(levels, qps)])
+    _block(recon, cu)[...] = np.clip(pred + inverse(coeffs, spec), 0, (1 << bit_depth) - 1)
 
 
 def _crop(recon, shape, dtype) -> Frame:
-    """The visible part of padded planes as a Frame shaped like `shape`."""
-    planes = tuple(recon[ch][: shape.height, : shape.width].astype(dtype) for ch in PLANE_ORDER)
-    return Frame(shape.width, shape.height, shape.bit_depth, planes)
+    """The visible part of a padded picture as a Frame shaped like `shape`."""
+    planes = recon[:, : shape.height, : shape.width].astype(dtype)
+    return Frame(shape.width, shape.height, shape.bit_depth, tuple(planes))
 
 
 def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> list:
     """The frame's CbStat rows, CU-major then G, B, R: each channel block's
     activity, masking terms and QP according to the mode."""
-    gs = {ch: [cb_activity(_block(orig[ch], cu)) for cu in tree] for ch in PLANE_ORDER}
+    gs = dict(zip(PLANE_ORDER, [[cb_activity(_block(p, cu)) for cu in tree] for p in orig]))
     means = {ch: frame_mean_activity(gs[ch]) for ch in PLANE_ORDER}
     f = motion.mean_magnitude if motion else 0.0
     cbs = []
@@ -260,18 +263,17 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     header.write(writer)
 
     recon_frames = []
-    prev_recon = dict.fromkeys(PLANE_ORDER)
+    prev_recon = None
     tree = partition(first, config.cu_size)
     stats = SequenceStats(grid_shape=tree.grid_shape)
 
     for idx, frame in enumerate(frames):
-        orig = {ch: pad_plane(frame.plane(ch), DEFAULT_CTU_SIZE).astype(np.int64)
-                for ch in PLANE_ORDER}
-        recon = {ch: np.zeros_like(orig[ch]) for ch in PLANE_ORDER}
+        orig = pad_plane(np.stack(frame.planes), DEFAULT_CTU_SIZE).astype(PLANE_DTYPE)
+        recon = np.zeros_like(orig)
         intra = idx % config.gop_length == 0
 
         motion = None if intra else estimate_motion_field(
-            orig["G"], prev_recon["G"], tree, config.search_range
+            orig[0], prev_recon[0], tree, config.search_range
         )
         cbs = _frame_cbs(config, idx, orig, tree, motion)
         fstat = FrameStats(idx, "I" if intra else "P", cb=cbs, motion=motion)
@@ -288,18 +290,17 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
                 writer.write_se(mv.vx)
                 writer.write_se(mv.vy)
 
-            for cb in cu_cbs:
-                ch, qp = cb.channel, cb.qp
-                pred = _predict(recon[ch], prev_recon[ch], cu, mv, bit_depth)
-                coeffs = forward(_block(orig[ch], cu) - pred, spec)
+            pred = _predict(recon, prev_recon, cu, mv, bit_depth)
+            levels = []
+            for cb, coeffs in zip(cu_cbs, forward(_block(orig, cu) - pred, spec)):
                 if config.rdoq:
-                    cfg = rdoq_config(qp, config.cu_size, bit_depth)
-                    levels = rdoq_quantize(coeffs, qp, config.cu_size, cfg)
+                    cfg = rdoq_config(cb.qp, config.cu_size, bit_depth)
+                    levels.append(rdoq_quantize(coeffs, cb.qp, config.cu_size, cfg))
                 else:
-                    levels = urq_quantize(coeffs, qp, config.cu_size)
-                nbits = encode_block(levels, writer)
-                _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
-                fstat.bits_channel[ch] = fstat.bits_channel.get(ch, 0) + nbits
+                    levels.append(urq_quantize(coeffs, cb.qp, config.cu_size))
+                nbits = encode_block(levels[-1], writer)
+                fstat.bits_channel[cb.channel] = fstat.bits_channel.get(cb.channel, 0) + nbits
+            _reconstruct(recon, cu, pred, levels, [cb.qp for cb in cu_cbs], bit_depth, spec)
 
         fstat.bits_total = writer.tell() - frame_start
         stats.frames.append(fstat)
@@ -320,12 +321,12 @@ def decode_sequence(data: bytes) -> list:
     dtype = np.uint8 if bit_depth == 8 else np.uint16
 
     frames = []
-    prev_recon = dict.fromkeys(PLANE_ORDER)
+    prev_recon = None
     for idx in range(header.frame_count):
         inter = reader.read_uint(1)
         if inter and idx == 0:
             raise DecodeError(f"frame {idx} is inter but no reference exists")
-        recon = {ch: np.zeros((tree.height, tree.width), dtype=np.int64) for ch in PLANE_ORDER}
+        recon = np.zeros((len(PLANE_ORDER), tree.height, tree.width), dtype=PLANE_DTYPE)
         for cu in tree:
             qps = []
             for _ in PLANE_ORDER:
@@ -339,10 +340,9 @@ def decode_sequence(data: bytes) -> list:
                 raise DecodeError(
                     f"motion vector ({mv.vx}, {mv.vy}) leaves the frame at CU ({cu.x}, {cu.y})"
                 )
-            for ch, qp in zip(PLANE_ORDER, qps):
-                pred = _predict(recon[ch], prev_recon[ch], cu, mv, bit_depth)
-                levels = decode_block(reader, cu_size)
-                _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
+            pred = _predict(recon, prev_recon, cu, mv, bit_depth)
+            levels = [decode_block(reader, cu_size) for _ in qps]
+            _reconstruct(recon, cu, pred, levels, qps, bit_depth, spec)
         prev_recon = recon
         frames.append(_crop(recon, header, dtype))
     return frames

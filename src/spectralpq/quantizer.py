@@ -129,27 +129,16 @@ def rdoq_cost(x: int, level: int, qp: int, n: int, cfg: RdoqConfig) -> float:
 def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig) -> np.ndarray:
     """Per-coefficient level choice minimizing distortion + lambda * bits.
 
-    Candidates are evaluated in ascending order with strict improvement, so
-    ties break toward the smaller level; relative to plain URQ rounding the
-    rate term only ever pulls levels down.  `cfg` carries the bit-depth
-    dependent multiplier (see rdoq_config).
+    The candidates (0, l1, l1 + 1) are scored as one stack and the first
+    minimum wins, so ties break toward the smaller level; relative to plain
+    URQ rounding the rate term only ever pulls levels down.  `cfg` carries
+    the bit-depth dependent multiplier (see rdoq_config).
     """
     p = quant_params(qp, n)
     x = np.asarray(coeffs, dtype=np.int64)
     ax = np.abs(x)
-
     l1 = np.minimum((ax * p.m) >> p.qbits, LEVEL_LIMIT - 1)
-    l2 = l1 + 1
-
-    def cost(levels: np.ndarray) -> np.ndarray:
-        err = (ax - urq_dequantize(levels, qp, n)).astype(np.float64)
-        return err * err + cfg.lam * level_bits_array(levels)
-
-    best = np.zeros_like(l1)
-    best_cost = cost(best)
-    for cand in (l1, l2):
-        c = cost(cand)
-        take = c < best_cost
-        best = np.where(take, cand, best)
-        best_cost = np.where(take, c, best_cost)
-    return np.sign(x) * best
+    candidates = np.stack((np.zeros_like(l1), l1, l1 + 1))
+    err = (ax - urq_dequantize(candidates, qp, n)).astype(np.float64)
+    costs = err * err + cfg.lam * level_bits_array(candidates)
+    return np.sign(x) * np.choose(costs.argmin(axis=0), candidates)

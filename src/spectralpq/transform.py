@@ -98,16 +98,16 @@ def _shift_round(v: np.ndarray, shift: int) -> np.ndarray:
 
 
 def forward(block: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Forward transform; DC lands at (0, 0)."""
-    if block.shape != (spec.size, spec.size):
+    """Forward transform of a block or a stack of blocks; DC lands at (0, 0)."""
+    if block.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"block shape {block.shape} does not match spec size {spec.size}")
     x = block.astype(np.int64)
     return _shift_round(spec.basis @ x @ spec.basis.T, spec.forward_shift)
 
 
 def inverse(coeffs: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Inverse transform via the precision inverse basis."""
-    if coeffs.shape != (spec.size, spec.size):
+    """Inverse transform of a block or a stack of blocks (precision inverse basis)."""
+    if coeffs.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"coeff shape {coeffs.shape} does not match spec size {spec.size}")
     bi = _inverse_matrix(spec.kind, spec.size)
     c = coeffs.astype(np.int64)

@@ -145,6 +145,14 @@ def test_pad_preserves_and_is_idempotent():
     again = pad_plane(padded, 64)
     assert np.array_equal(again, padded)
 
+    # padding a (3, h, w) stack pads each plane
+    stack = rng.integers(0, 1024, (3, 60, 100)).astype(np.int32)
+    padded = pad_plane(stack, 64)
+    assert padded.shape == (3, 64, 128) and padded.dtype == np.int32
+    for plane, padded_plane in zip(stack, padded):
+        assert np.array_equal(padded_plane, pad_plane(plane, 64))
+    assert np.array_equal(pad_plane(padded, 64), padded)
+
 
 def test_partition_counts_and_padding():
     tree = partition(_frame(128, 128), 32)
@@ -179,6 +187,17 @@ def test_frame_rejects_empty_dimensions(width, height):
     message = f"frame dimensions must be >= 1, got {width}x{height}"
     with pytest.raises(ConfigurationError, match=message):
         _frame(width, height)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("width", 8.0), ("height", 8.0), ("bit_depth", 8.0), ("width", "8"),
+    ("height", True), ("bit_depth", None),
+])
+def test_frame_rejects_non_integer_fields(name, value):
+    plane = np.zeros((8, 8), np.uint8)
+    fields = {"width": 8, "height": 8, "bit_depth": 8, name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        Frame(**fields, planes=(plane, plane, plane))
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,14 @@ def test_intra_predict_dc_rules():
     recon[8:16, 7] = 60    # left column
     assert np.all(intra_predict_dc(recon, 8, 8, 8, 8) == 80)
 
+    # a (3, H, W) stack gives each plane's own DC block
+    stack = np.stack([recon, 2 * recon, np.full_like(recon, 7)]).astype(np.int32)
+    for x, y in ((0, 0), (8, 0), (0, 8), (8, 8), (16, 24)):
+        got = intra_predict_dc(stack, x, y, 8, 8)
+        assert got.shape == (3, 8, 8) and got.dtype == np.int64
+        for plane, block in zip(stack, got):
+            assert np.array_equal(block, intra_predict_dc(plane, x, y, 8, 8))
+
 
 def test_constant_sequence_hits_header_floor():
     frames = [_const_frame(200) for _ in range(5)]
@@ -235,6 +243,33 @@ def test_numpy_integer_settings_accepted():
     numpy_result = encode_sequence(_noise_frames(2), EncoderConfig(**settings))
     plain = {name: int(value) for name, value in settings.items()}
     assert numpy_result.bitstream == encode_sequence(_noise_frames(2), EncoderConfig(**plain)).bitstream
+
+
+@pytest.mark.parametrize("value", ["off", "on", 0, 1, None])
+def test_non_bool_rdoq_rejected_at_config(value):
+    with pytest.raises(ConfigurationError, match="rdoq must be a bool"):
+        EncoderConfig(base_qp=22, rdoq=value)
+
+
+@pytest.mark.parametrize("rdoq", [False, True])
+def test_numpy_bool_rdoq_accepted(rdoq):
+    config = EncoderConfig(base_qp=22, rdoq=np.bool_(rdoq))
+    assert config.rdoq is rdoq
+    stream = encode_sequence(_noise_frames(1, size=16), config).bitstream
+    assert stream == encode_sequence(_noise_frames(1, size=16),
+                                     EncoderConfig(base_qp=22, rdoq=rdoq)).bitstream
+
+
+@pytest.mark.parametrize("name", ["width", "height", "bit_depth"])
+def test_frame_numpy_integer_fields_stored_as_int(name):
+    fields = {"width": 40, "height": 24, "bit_depth": 8}
+    plain = _noise_frames(1, size=40)[0]
+    planes = tuple(plane[:24] for plane in plain.planes)
+    frame = Frame(**{**fields, name: np.int64(fields[name])}, planes=planes)
+    assert type(getattr(frame, name)) is int
+    config = EncoderConfig(base_qp=27)
+    assert (encode_sequence([frame], config).bitstream
+            == encode_sequence([Frame(**fields, planes=planes)], config).bitstream)
 
 
 def test_fps_beyond_header_field_rejected_at_config():

@@ -84,6 +84,12 @@ def test_round_trip_bound_all_sizes(n, bit_depth):
         y = inverse(forward(x, spec), spec)
         assert np.max(np.abs(y - x)) <= 1
 
+    # a (3, n, n) stack transforms as three separate blocks
+    stack = rng.integers(-lim, lim + 1, (3, n, n))
+    coeffs = forward(stack, spec)
+    assert np.array_equal(coeffs, np.stack([forward(x, spec) for x in stack]))
+    assert np.array_equal(inverse(coeffs, spec), np.stack([inverse(c, spec) for c in coeffs]))
+
 
 def test_inverse_zero_and_dc_only():
     spec = make_spec(16, "DCT", 8)
