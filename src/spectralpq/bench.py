@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -128,31 +128,22 @@ def run_experiment(
 ) -> list[ExperimentRow]:
     """Full sweep over sequences x qps x modes with reductions vs ANCHOR_MODE.
 
-    `options` are EncoderConfig settings shared by every cell.  Cells run
-    independently (optionally on a worker pool); rows come back in
-    deterministic (sequence, qp, mode) order regardless of completion order.
+    `options` are EncoderConfig settings shared by every cell.  Cells run in
+    (sequence, qp, mode) order in the calling thread, and each ok cell's QP
+    maps go to `qp_map_dir` (if given) as soon as it ends.  `workers` is
+    accepted for existing callers and has no effect: cells are GIL-bound
+    Python, so threads made sweeps slower.
     """
     names = [seq.name for seq in sequences]
     if len(set(names)) < len(names):
         dup = next(name for name in names if names.count(name) > 1)
         raise ConfigurationError(f"sequence names must be unique; {dup!r} appears twice")
-    cells = [(seq, qp, mode) for seq in sequences for qp in qps for mode in modes]
-
-    def work(cell):
-        return run_cell(*cell, **options)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(c) for c in cells]
-
-    if qp_map_dir is not None:
-        for (seq, qp, mode), (_, result) in zip(cells, outcomes):
-            if result is not None:
-                write_qp_maps(result, qp_map_dir, seq.name, mode, qp)
-
-    rows = [row for row, _ in outcomes]
+    rows = []
+    for seq, qp, mode in product(sequences, qps, modes):
+        row, result = run_cell(seq, qp, mode, **options)
+        if qp_map_dir is not None and result is not None:
+            write_qp_maps(result, qp_map_dir, seq.name, mode, qp)
+        rows.append(row)
     anchors = {(r.sequence, r.base_qp): r.kbps for r in rows
                if r.mode == ANCHOR_MODE and r.status == "ok"}
     for row in rows:

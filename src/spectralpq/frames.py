@@ -1,4 +1,4 @@
-"""Raw RGB 4:4:4 sequence I/O and block partitioning.
+"""Raw RGB 4:4:4 sequence I/O, block partitioning and window sums.
 
 Sequences are header-less planar files: frames concatenated, each frame
 stored as its G plane, then B, then R, row-major.  8-bit samples take one
@@ -24,11 +24,16 @@ DEFAULT_CTU_SIZE = 64    # frames are padded to a multiple of this
 CU_SIZES = (8, 16, 32)
 
 
+def _is_integer(value) -> bool:
+    """True for ints and numpy integers; False for bools and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _store_integers(obj, names) -> None:
     """Store each named field as an int; a bool or other non-integer raises ConfigurationError."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(obj, name, int(value))  # numpy integers become ints
 
@@ -119,11 +124,16 @@ def load_sequence(
     """Read a raw planar sequence file.
 
     frame_count=None reads every complete frame in the file; otherwise only
-    the bytes of the first frame_count frames are read.  A negative
-    frame_count, a short file and out-of-range 10-bit samples raise
-    IngestionError; the last names the frame, plane, and byte offset of the
-    first offending sample.
+    the bytes of the first frame_count frames are read.  Bad arguments
+    (checked before the file is read), a short file and out-of-range 10-bit
+    samples raise IngestionError; the last names the frame, plane, and byte
+    offset of the first offending sample.
     """
+    for name, value in (("width", width), ("height", height), ("frame_count", frame_count)):
+        if not (_is_integer(value) or name == "frame_count" and value is None):
+            raise IngestionError(f"{path}: {name} must be an integer, got {value!r}")
+    if not (_is_integer(bit_depth) and bit_depth in (8, 10)):
+        raise IngestionError(f"{path}: bit depth must be 8 or 10, got {bit_depth!r}")
     if width < 1 or height < 1:
         raise IngestionError(f"{path}: frame dimensions must be >= 1, got {width}x{height}")
     fsize = frame_size_bytes(width, height, bit_depth)
@@ -179,6 +189,16 @@ def partition(frame: Frame, cu_size: int = 32) -> BlockTree:
         frame.height + (-frame.height) % DEFAULT_CTU_SIZE,
         cu_size,
     )
+
+
+def box_sums(plane: np.ndarray, size: int) -> np.ndarray:
+    """Sum of every size x size window, indexed by its top-left corner, from a summed-area
+    table; integer planes sum in int64 (exact while the total fits), others in float64."""
+    dtype = np.result_type(plane.dtype, np.int64)
+    sat = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=dtype)
+    np.cumsum(plane, axis=0, dtype=dtype, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    return sat[size:, size:] - sat[:-size, size:] - sat[size:, :-size] + sat[:-size, :-size]
 
 
 def subblocks(cb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -6,10 +6,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import StructuralError
-from .frames import PLANE_ORDER, Frame
+from .frames import PLANE_ORDER, Frame, box_sums
 
 SSIM_WINDOW = 8
 VISUALLY_LOSSLESS_SSIM = 0.95
@@ -41,7 +40,10 @@ def psnr(ref: np.ndarray, rec: np.ndarray, bit_depth: int) -> float:
 
 
 def ssim(ref: np.ndarray, rec: np.ndarray, bit_depth: int) -> float:
-    """Mean local SSIM over uniformly weighted SSIM_WINDOW x SSIM_WINDOW windows."""
+    """Mean local SSIM over uniformly weighted SSIM_WINDOW x SSIM_WINDOW windows.
+
+    Window means are box sums over the window area, exact on integer planes.
+    """
     window = SSIM_WINDOW
     if ref.shape != rec.shape:
         raise StructuralError(f"plane shapes differ: {ref.shape} vs {rec.shape}")
@@ -52,13 +54,14 @@ def ssim(ref: np.ndarray, rec: np.ndarray, bit_depth: int) -> float:
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
 
-    x = sliding_window_view(ref.astype(np.float64), (window, window))
-    y = sliding_window_view(rec.astype(np.float64), (window, window))
-    mu_x = x.mean(axis=(2, 3))
-    mu_y = y.mean(axis=(2, 3))
-    var_x = (x * x).mean(axis=(2, 3)) - mu_x * mu_x
-    var_y = (y * y).mean(axis=(2, 3)) - mu_y * mu_y
-    cov = (x * y).mean(axis=(2, 3)) - mu_x * mu_y
+    x = ref.astype(np.result_type(ref.dtype, np.int64))
+    y = rec.astype(np.result_type(rec.dtype, np.int64))
+    area = window * window
+    mu_x = box_sums(x, window) / area
+    mu_y = box_sums(y, window) / area
+    var_x = box_sums(x * x, window) / area - mu_x * mu_x
+    var_y = box_sums(y * y, window) / area - mu_y * mu_y
+    cov = box_sums(x * y, window) / area - mu_x * mu_y
 
     score = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .frames import BlockTree
+from .frames import BlockTree, box_sums
 
 SUB_BLOCK = 4    # side of the sub-blocks whose sums bound the SAD
 
@@ -54,15 +54,6 @@ def frame_mean_magnitude(magnitudes) -> float:
     return float(sum(mags)) / len(mags)
 
 
-def _box_sums(plane: np.ndarray, sub: int) -> np.ndarray:
-    """The sum of every sub x sub block of the plane, at every position."""
-    sat = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=np.int64)
-    np.cumsum(plane, axis=0, dtype=np.int64, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    sums = sat[sub:, sub:] - sat[:-sub, sub:] - sat[sub:, :-sub] + sat[:-sub, :-sub]
-    return sums.astype(np.int32)
-
-
 class _Reference:
     """A reference plane's candidate windows for one block size, with the
     sub-block sums of each window, both indexed by the window's top-left."""
@@ -71,13 +62,13 @@ class _Reference:
         self.sub = math.gcd(size, SUB_BLOCK)
         reference = np.asarray(reference, dtype=np.int32)
         span = size - self.sub + 1
-        sums = _box_sums(reference, self.sub)
+        sums = box_sums(reference, self.sub).astype(np.int32)
         self.windows = sliding_window_view(reference, (size, size))
         self.window_sums = sliding_window_view(sums, (span, span))[:, :, :: self.sub, :: self.sub]
 
     def block_sums(self, block: np.ndarray) -> np.ndarray:
         """The sub-block sums of a block, in the layout of `window_sums`."""
-        return _box_sums(block, self.sub)[:: self.sub, :: self.sub]
+        return box_sums(block, self.sub)[:: self.sub, :: self.sub].astype(np.int32)
 
     def search(self, block, sums, x, y, search_range, seeds=()) -> MotionVector:
         """The minimum-SAD vector of the block at (x, y); the SADs of (0, 0)

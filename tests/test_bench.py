@@ -138,3 +138,20 @@ def test_qp_map_dump(tmp_path, tiny_sequence):
     assert header.startswith(b"P5 2 2 51\n")
     grid = np.frombuffer(header[-4:], dtype=np.uint8)
     assert np.all(grid >= 27) and np.all(grid <= 51)
+
+
+def test_run_experiment_writes_each_ok_cells_qp_maps(tmp_path, tiny_sequence):
+    modes = ["anchor-flat", "spectral-pq"]
+    sweep_dir = tmp_path / "sweep"
+    rows = run_experiment([tiny_sequence], [37, 60], modes, qp_map_dir=sweep_dir)
+    assert [row.status for row in rows[:2]] == ["ok", "ok"]
+    assert all(row.status.startswith("error:") for row in rows[2:])
+    expected_dir = tmp_path / "expected"
+    for mode in modes:
+        config = EncoderConfig(base_qp=37, mode=mode, fps=tiny_sequence.fps)
+        result = encode_sequence(tiny_sequence.frames, config)
+        write_qp_maps(result, expected_dir, tiny_sequence.name, mode, 37)
+    written = {p.name: p.read_bytes() for p in sweep_dir.iterdir()}
+    expected = {p.name: p.read_bytes() for p in expected_dir.iterdir()}
+    assert len(expected) == 2 * 3 * len(tiny_sequence.frames)
+    assert written == expected

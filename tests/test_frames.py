@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from spectralpq.errors import ConfigurationError, IngestionError, StructuralError
 from spectralpq.frames import (
     Frame,
+    box_sums,
     frame_size_bytes,
     load_sequence,
     pad_plane,
@@ -85,6 +88,38 @@ def test_load_rejects_negative_frame_count(tmp_path):
     with pytest.raises(IngestionError, match="frame count must be >= 0, got -1"):
         load_sequence(p, 2, 2, 8, -1)
     assert load_sequence(p, 2, 2, 8, 0) == []
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((8.0, 8), {}, "width must be an integer, got 8.0"),
+    ((True, 8), {}, "width must be an integer, got True"),
+    ((8, "8"), {}, "height must be an integer, got '8'"),
+    ((8, None), {}, "height must be an integer, got None"),
+    ((8, 8), {"frame_count": True}, "frame_count must be an integer, got True"),
+    ((8, 8), {"frame_count": 1.5}, "frame_count must be an integer, got 1.5"),
+    ((8, 8), {"bit_depth": 12}, "bit depth must be 8 or 10, got 12"),
+    ((8, 8), {"bit_depth": "8"}, "bit depth must be 8 or 10, got '8'"),
+    ((8, 8), {"bit_depth": 8.0}, "bit depth must be 8 or 10, got 8.0"),
+    ((8, 8), {"bit_depth": True}, "bit depth must be 8 or 10, got True"),
+])
+def test_load_rejects_bad_arguments_before_reading(tmp_path, monkeypatch, args, kwargs, message):
+    p = tmp_path / "seq.raw"
+    p.write_bytes(bytes(384))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the file was read")
+
+    monkeypatch.setattr(np, "fromfile", no_read)
+    with pytest.raises(IngestionError, match=re.escape(message)):
+        load_sequence(p, *args, **kwargs)
+
+
+def test_load_accepts_numpy_integer_arguments(tmp_path):
+    p = tmp_path / "seq.raw"
+    p.write_bytes(bytes(range(48)))
+    (frame,) = load_sequence(p, np.int64(4), np.uint16(4), np.int32(8), np.int8(1))
+    assert (frame.width, frame.height, frame.bit_depth) == (4, 4, 8)
+    assert frame.planes[2][3, 3] == 47
 
 
 def test_frame_count_reads_only_the_frames_asked_for(tmp_path, monkeypatch):
@@ -236,3 +271,35 @@ def test_subblocks_rejects_bad_shapes():
         subblocks(np.zeros((4, 4)))
     with pytest.raises(StructuralError):
         subblocks(np.zeros((8, 16)))
+
+
+def _brute_box_sums(plane, size):
+    h, w = plane.shape
+    out = np.zeros((h - size + 1, w - size + 1), dtype=np.result_type(plane.dtype, np.int64))
+    for y in range(out.shape[0]):
+        for x in range(out.shape[1]):
+            out[y, x] = plane[y : y + size, x : x + size].sum(dtype=out.dtype)
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 4, 8])
+@pytest.mark.parametrize("shape", [(8, 8), (9, 13), (21, 10)])
+@pytest.mark.parametrize("dtype,top", [
+    (np.uint8, 255), (np.uint16, 1023), (np.int32, 2**31 - 1), (np.float64, 1.0),
+])
+def test_box_sums_match_brute_force(size, shape, dtype, top):
+    rng = np.random.default_rng(size * 100 + shape[0] * 10 + shape[1])
+    if dtype is np.float64:
+        plane = rng.random(shape)
+    else:
+        lo = -top - 1 if dtype is np.int32 else 0
+        plane = rng.integers(lo, top, shape, endpoint=True).astype(dtype)
+    sums = box_sums(plane, size)
+    expected = _brute_box_sums(plane, size)
+    assert sums.shape == expected.shape
+    if dtype is np.float64:
+        assert sums.dtype == np.float64
+        np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-12)
+    else:
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, expected)

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spectralpq.errors import StructuralError
 from spectralpq.frames import Frame
@@ -98,3 +100,61 @@ def test_sequence_psnr_pools_frames():
     assert math.isinf(sequence_psnr(refs, refs, "G"))
     recs = [_frame([f.planes[i].astype(int) + 1 for i in range(3)]) for f in refs]
     assert sequence_psnr(refs, recs, "G") == pytest.approx(48.1308, abs=0.01)
+
+
+def _sliding_window_ssim(ref, rec, bit_depth):
+    """The earlier ssim formula, which built every window: the reference the
+    box-sum version must equal bit for bit on integer planes."""
+    window = 8
+    peak = (1 << bit_depth) - 1
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    x = sliding_window_view(ref.astype(np.float64), (window, window))
+    y = sliding_window_view(rec.astype(np.float64), (window, window))
+    mu_x = x.mean(axis=(2, 3))
+    mu_y = y.mean(axis=(2, 3))
+    var_x = (x * x).mean(axis=(2, 3)) - mu_x * mu_x
+    var_y = (y * y).mean(axis=(2, 3)) - mu_y * mu_y
+    cov = (x * y).mean(axis=(2, 3)) - mu_x * mu_y
+    score = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    )
+    return float(score.mean())
+
+
+@pytest.mark.parametrize("bit_depth,dtype", [(8, np.uint8), (10, np.uint16)])
+@pytest.mark.parametrize("seed", range(6))
+def test_ssim_equals_sliding_window_formula_on_integer_planes(bit_depth, dtype, seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(8, 40)), int(rng.integers(8, 40)))
+    if seed % 2:
+        shape = shape[::-1]
+    top = (1 << bit_depth) - 1
+    ref = rng.integers(0, top + 1, shape).astype(dtype)
+    noise = rng.integers(-top // 8, top // 8 + 1, shape)
+    rec = np.clip(ref.astype(np.int64) + noise, 0, top).astype(dtype)
+    assert ssim(ref, rec, bit_depth) == _sliding_window_ssim(ref, rec, bit_depth)
+    assert ssim(ref, ref, bit_depth) == _sliding_window_ssim(ref, ref, bit_depth)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ssim_close_to_sliding_window_formula_on_float_planes(seed):
+    rng = np.random.default_rng(100 + seed)
+    shape = (int(rng.integers(8, 40)), int(rng.integers(8, 40)))
+    ref = rng.random(shape) * 255
+    rec = np.clip(ref + rng.normal(0, 10, shape), 0, 255)
+    assert abs(ssim(ref, rec, 8) - _sliding_window_ssim(ref, rec, 8)) <= 1e-12
+
+
+def test_ssim_peak_memory_per_pixel():
+    rng = np.random.default_rng(7)
+    ref = rng.integers(0, 256, (256, 256)).astype(np.uint8)
+    rec = rng.integers(0, 256, (256, 256)).astype(np.uint8)
+    ssim(ref, rec, 8)  # warm up
+    tracemalloc.start()
+    try:
+        ssim(ref, rec, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ref.size < 160
