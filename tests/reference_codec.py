@@ -3,9 +3,13 @@
 This is the SPQ1 coding loop as it was written before CUs were coded as
 stacks: each picture is three int64 planes in a {channel: plane} dict, and
 every channel block of a CU is predicted, transformed, quantized, coded and
-reconstructed on its own.  It shares the header codec, the CU grid and the
-per-block primitives (transform, quantizer, entropy coder) with the library,
-but none of the pipeline's prediction or reconstruction helpers.
+reconstructed on its own.  Its block kernels are the plain int64 and
+Python-int versions: the transforms multiply int64 matrices, the quantizers
+and RDOQ work on signed int64 levels, and encode_block appends each level's
+code to one Python int.  It shares with the library the header codec, the CU
+grid, the basis matrices, the quantizer tables and decode_block, but none of
+the pipeline's prediction or reconstruction helpers and none of its
+transform, quantization or block-writing kernels.
 
 The encoder side takes each frame's decisions, the CbStat QPs and the
 MotionField, from the library encoder's SequenceStats; the cb and motion
@@ -17,13 +21,86 @@ from __future__ import annotations
 
 import numpy as np
 
-from spectralpq.entropy import BitReader, BitWriter, decode_block, encode_block
+from spectralpq.entropy import LEVEL_LIMIT, BitReader, BitWriter, decode_block, zigzag_order
 from spectralpq.errors import DecodeError
 from spectralpq.frames import DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, partition
 from spectralpq.motion import MotionVector
 from spectralpq.pipeline import MODES, QP_FIELD_BITS, StreamHeader
-from spectralpq.quantizer import QP_MAX, rdoq_config, rdoq_quantize, urq_dequantize, urq_quantize
-from spectralpq.transform import forward, inverse, make_spec
+from spectralpq.quantizer import M_TABLE, QP_MAX, S_TABLE, rdoq_config
+from spectralpq.transform import _inverse_matrix, make_spec
+
+
+def _shift_round(v, shift):
+    half = 1 << (shift - 1)
+    return np.sign(v) * ((np.abs(v) + half) >> shift)
+
+
+def forward(block, spec):
+    """int64 basis @ block @ basis.T, rounded down by the forward shift."""
+    x = block.astype(np.int64)
+    return _shift_round(spec.basis @ x @ spec.basis.T, spec.forward_shift)
+
+
+def inverse(coeffs, spec):
+    """int64 inverse basis product at every coefficient magnitude."""
+    bi = _inverse_matrix(spec.kind, spec.size)
+    return _shift_round(bi @ coeffs.astype(np.int64) @ bi.T, spec.inverse_shift)
+
+
+def _quant(qp, n):
+    """(m, s, f, qbits, period) of one (qp, n) pair, from the library's tables."""
+    qbits = 21 + qp // 6 - int(np.log2(n))
+    return M_TABLE[qp % 6], S_TABLE[qp % 6], 1 << (qbits - 1), qbits, qp // 6
+
+
+def urq_quantize(x, qp, n):
+    m, _, f, qbits, _ = _quant(qp, n)
+    v = np.asarray(x, dtype=np.int64)
+    return np.clip(np.sign(v) * ((np.abs(v) * m + f) >> qbits), -LEVEL_LIMIT, LEVEL_LIMIT)
+
+
+def urq_dequantize(t, qp, n):
+    _, s, _, _, period = _quant(qp, n)
+    v = np.asarray(t, dtype=np.int64)
+    return np.sign(v) * ((np.abs(v) * s << period) >> (int(np.log2(n)) - 1))
+
+
+def _signed_map(levels):
+    return np.where(levels > 0, 2 * levels - 1, -2 * levels)
+
+
+def _level_bits(levels):
+    return 2 * np.frexp(_signed_map(levels) + 1)[1].astype(np.int64) - 1
+
+
+def rdoq_quantize(coeffs, qp, n, cfg):
+    """First minimum of err^2 + lambda * bits over the candidates (0, l1, l1 + 1)."""
+    m, _, _, qbits, _ = _quant(qp, n)
+    x = np.asarray(coeffs, dtype=np.int64)
+    ax = np.abs(x)
+    l1 = np.minimum((ax * m) >> qbits, LEVEL_LIMIT - 1)
+    candidates = np.stack((np.zeros_like(l1), l1, l1 + 1))
+    err = (ax - urq_dequantize(candidates, qp, n)).astype(np.float64)
+    costs = err * err + cfg.lam * _level_bits(candidates)
+    return np.sign(x) * np.choose(costs.argmin(axis=0), candidates)
+
+
+def encode_block(levels, writer):
+    """The token, then each level's exp-Golomb code appended to one Python int."""
+    n = levels.shape[0]
+    scan = [int(levels[i, j]) for i, j in zigzag_order(n)]
+    last = max((k for k, v in enumerate(scan) if v), default=-1)
+    start = writer.tell()
+    writer.write_uint(last + 1, (n * n).bit_length())
+    acc = nbits = 0
+    for v in scan[: last + 1]:
+        code = (2 * v - 1 if v > 0 else -2 * v) + 1
+        width = code.bit_length()
+        acc = (acc << (2 * width - 1)) | code
+        nbits += 2 * width - 1
+    if nbits:
+        writer.write_uint(acc, nbits)
+    return writer.tell() - start
 
 
 def _pad(plane):
