@@ -196,11 +196,16 @@ def _signed_map(levels: np.ndarray) -> np.ndarray:
     return np.where(levels > 0, 2 * levels - 1, -2 * levels)
 
 
+def _code_bits(plus1: np.ndarray) -> np.ndarray:
+    """Exp-Golomb code length (int32) of each unsigned value + 1, below 2^53."""
+    # frexp's exponent of an integer below 2^53 is exactly its bit length
+    return 2 * np.frexp(plus1)[1] - 1
+
+
 def level_bits_array(levels: np.ndarray) -> np.ndarray:
     """Signed exp-Golomb code length of each element of an integer array of
     magnitude below 2^51."""
-    # frexp's exponent of an integer below 2^53 is exactly its bit length
-    return 2 * np.frexp(_signed_map(levels) + 1)[1].astype(np.int64) - 1
+    return _code_bits(_signed_map(levels) + 1).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -257,11 +262,15 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
         vals = coded.scan[: coded.last_significant + 1]
         # signed map then +1: the value written for each (2*width-1)-bit code
         plus1 = _signed_map(vals) + 1
-        nbits = level_bits_array(vals)
-        acc = 0
-        for v, nb in zip(plus1.tolist(), nbits.tolist()):
-            acc = (acc << nb) | v
-        writer.write_uint(acc, int(nbits.sum()))
+        nbits = _code_bits(plus1)
+        ends = np.cumsum(nbits)
+        total = int(ends[-1])
+        # Bit k of the concatenated codes is bit (end of its code - 1 - k)
+        # of its value: the code's leading zeros are the value's high bits.
+        shifts = np.repeat(ends - 1, nbits) - np.arange(total)
+        bits = (np.repeat(plus1, nbits) >> shifts).astype(np.uint8) & 1
+        packed = int.from_bytes(np.packbits(bits).tobytes(), "big")
+        writer.write_uint(packed >> (-total % 8), total)
     return writer.tell() - start
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import subblocks
+from .errors import StructuralError
+from .frames import box_sums, subblocks
 from .quantizer import QP_MAX, QP_MIN
 
 @dataclass(frozen=True)
@@ -59,6 +60,27 @@ def cb_activity(cb: np.ndarray) -> float:
     return 1.0 + min(float(np.var(q)) for q in subblocks(cb))
 
 
+def cu_activities(plane: np.ndarray, cu_size: int) -> np.ndarray:
+    """cb_activity of every cu_size x cu_size block of a plane, as a (rows,
+    cols) array, from the quadrant sums S1 of x and S2 of x^2.
+
+    A quadrant has N = (cu_size / 2)^2 samples, a power of two.  For integer
+    samples every step of np.var is then exact in float64 and equals
+    (N * S2 - S1^2) / N^2, which int64 sums give exactly, so on integer
+    planes the result equals cb_activity block by block.
+    """
+    rows, cols = np.asarray(plane).shape
+    if cu_size < 8 or cu_size % 2 or rows % cu_size or cols % cu_size:
+        raise StructuralError(f"plane {plane.shape} is not a grid of {cu_size}x{cu_size} blocks")
+    half = cu_size // 2
+    x = plane.astype(np.int64) if np.issubdtype(plane.dtype, np.integer) else plane
+    s1 = box_sums(x, half)[::half, ::half]
+    s2 = box_sums(x * x, half)[::half, ::half]
+    n = half * half
+    var = (n * s2 - s1 * s1) / (n * n)
+    return 1.0 + var.reshape(rows // cu_size, 2, cols // cu_size, 2).min(axis=(1, 3))
+
+
 def frame_mean_activity(activities) -> float:
     acts = list(activities)
     if not acts:
@@ -74,7 +96,12 @@ def normalized_activity(g: float, frame_mean: float) -> float:
 def frame_activity(plane: np.ndarray, cus, channel: str) -> list[ChannelActivity]:
     """g, the frame mean H of g and the normalized activity a of every CU of
     one channel plane, in the order of `cus`."""
-    gs = [cb_activity(plane[cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]) for cu in cus]
+    grids = {}
+    gs = []
+    for cu in cus:
+        if cu.size not in grids:
+            grids[cu.size] = cu_activities(plane, cu.size)
+        gs.append(float(grids[cu.size][cu.y // cu.size, cu.x // cu.size]))
     mean = frame_mean_activity(gs)
     return [ChannelActivity(channel, g, mean, normalized_activity(g, mean)) for g in gs]
 

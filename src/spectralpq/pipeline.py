@@ -22,9 +22,10 @@ from .frames import (
     CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane, partition,
 )
 from .motion import MotionField, MotionVector, estimate_motion_field
-from .perceptual import (
+from .perceptual import (  # cb_activity stays bound here for codecbench's tracer
     adaptiveqp_offset,
-    cb_activity,
+    cb_activity,  # noqa: F401
+    cu_activities,
     frame_mean_activity,
     normalized_activity,
     perceptual_qp,
@@ -220,7 +221,7 @@ def _crop(recon, shape, dtype) -> Frame:
 def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> list:
     """The frame's CbStat rows, CU-major then G, B, R: each channel block's
     activity, masking terms and QP according to the mode."""
-    gs = dict(zip(PLANE_ORDER, [[cb_activity(_block(p, cu)) for cu in tree] for p in orig]))
+    gs = {ch: cu_activities(p, tree.cu_size).ravel().tolist() for ch, p in zip(PLANE_ORDER, orig)}
     means = {ch: frame_mean_activity(gs[ch]) for ch in PLANE_ORDER}
     f = motion.mean_magnitude if motion else 0.0
     cbs = []
@@ -312,7 +313,11 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
 
 
 def decode_sequence(data: bytes) -> list:
-    """Decode an "SPQ1" stream into frames (bit-exact encoder reconstructions)."""
+    """Decode an "SPQ1" stream into frames (bit-exact encoder reconstructions).
+
+    The stream must end in the byte that holds the last frame's last bit, and
+    the bits after it must be zero.
+    """
     reader = BitReader(data)
     header = StreamHeader.read(reader)
     bit_depth, cu_size = header.bit_depth, header.cu_size
@@ -345,6 +350,10 @@ def decode_sequence(data: bytes) -> list:
             _reconstruct(recon, cu, pred, levels, qps, bit_depth, spec)
         prev_recon = recon
         frames.append(_crop(recon, header, dtype))
+    end = reader.tell()
+    padding = 8 * len(data) - end
+    if padding >= 8 or reader.read_uint(padding):
+        raise DecodeError(f"trailing data after the last frame at bit offset {end}")
     return frames
 
 

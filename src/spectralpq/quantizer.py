@@ -12,10 +12,11 @@ exponents instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .entropy import LEVEL_LIMIT, level_bits, level_bits_array
+from .entropy import LEVEL_LIMIT, level_bits
 from .errors import ConfigurationError
 from .transform import coefficient_scale
 
@@ -50,6 +51,9 @@ def qstep(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
+# Pure, and cached per argument type, so a float qp misses the cache and
+# fails as it would uncached; a ConfigurationError is raised on every call.
+@lru_cache(maxsize=None, typed=True)
 def quant_params(qp: int, n: int) -> QuantParams:
     if not QP_MIN <= qp <= QP_MAX:
         raise ConfigurationError(f"qp must be in [{QP_MIN}, {QP_MAX}], got {qp}")
@@ -100,6 +104,7 @@ class RdoqConfig:
             raise ConfigurationError(f"lambda must be > 0, got {self.lam}")
 
 
+@lru_cache(maxsize=None, typed=True)
 def rdoq_config(qp: int, n: int = 4, bit_depth: int = 8) -> RdoqConfig:
     """Default config with the multiplier expressed in coefficient units.
 
@@ -139,6 +144,12 @@ def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig) -> np.nd
     ax = np.abs(x)
     l1 = np.minimum((ax * p.m) >> p.qbits, LEVEL_LIMIT - 1)
     candidates = np.stack((np.zeros_like(l1), l1, l1 + 1))
-    err = (ax - urq_dequantize(candidates, qp, n)).astype(np.float64)
-    costs = err * err + cfg.lam * level_bits_array(candidates)
-    return np.sign(x) * np.choose(costs.argmin(axis=0), candidates)
+    # Candidates are non-negative: urq_dequantize without its sign, and the
+    # code length 2 * bit_length + 1 of level_bits.
+    recon = (candidates * p.s << p.period) >> (int(np.log2(n)) - 1)
+    err = (ax - recon).astype(np.float64)
+    c0, c1, c2 = err * err + cfg.lam * (2 * np.frexp(candidates)[1] + 1)
+    # The first minimum: l1 + 1 only if strictly cheaper than l1, 0 on a tie.
+    level = np.where(c2 < c1, candidates[2], l1)
+    level[c0 <= np.minimum(c1, c2)] = 0
+    return np.where(x < 0, -level, level)

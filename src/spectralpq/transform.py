@@ -7,6 +7,11 @@ integer basis is only approximately orthogonal, the inverse uses a
 higher-precision integer matrix round(2^24 * inv(basis)); with the shift
 schedule below that keeps forward->inverse within one sample unit for
 10-bit residuals and makes the 8-bit round trip exact.
+
+The integer products define the results.  They are evaluated in float64,
+which is exact while every partial sum of `basis @ x @ basis.T` stays below
+2^53; `_float_basis` derives that bound from each basis.  Sample residuals
+are far inside it; the inverse takes the int64 product above it.
 """
 
 from __future__ import annotations
@@ -71,6 +76,23 @@ def _inverse_matrix(kind: str, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _float_basis(kind: str, n: int, inverse: bool) -> tuple[np.ndarray, int]:
+    """The forward or inverse basis in float64, and the largest input magnitude
+    at which float64 `basis @ x @ basis.T` is exact: every partial sum is at
+    most that magnitude times the square of the basis's largest row L1 norm,
+    and float64 holds every integer below 2^53."""
+    basis = _inverse_matrix(kind, n) if inverse else DST_4X4 if kind == "DST" else dct_matrix(n)
+    l1 = int(np.abs(basis).sum(axis=1).max())
+    out = basis.astype(np.float64)
+    out.setflags(write=False)
+    return out, ((1 << 53) - 1) // (l1 * l1)
+
+
+def _max_magnitude(x: np.ndarray) -> int:
+    return max(int(x.max()), -int(x.min()))
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """Basis and shift schedule for one transform size / kind / bit depth."""
@@ -101,16 +123,24 @@ def forward(block: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """Forward transform of a block or a stack of blocks; DC lands at (0, 0)."""
     if block.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"block shape {block.shape} does not match spec size {spec.size}")
+    basis, limit = _float_basis(spec.kind, spec.size, False)
     x = block.astype(np.int64)
-    return _shift_round(spec.basis @ x @ spec.basis.T, spec.forward_shift)
+    if _max_magnitude(x) > limit:
+        raise StructuralError(f"block magnitude {_max_magnitude(x)} exceeds the transform limit {limit}")
+    x = x.astype(np.float64)
+    return _shift_round((basis @ x @ basis.T).astype(np.int64), spec.forward_shift)
 
 
 def inverse(coeffs: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """Inverse transform of a block or a stack of blocks (precision inverse basis)."""
     if coeffs.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"coeff shape {coeffs.shape} does not match spec size {spec.size}")
-    bi = _inverse_matrix(spec.kind, spec.size)
+    basis, limit = _float_basis(spec.kind, spec.size, True)
     c = coeffs.astype(np.int64)
+    if _max_magnitude(c) <= limit:
+        c = c.astype(np.float64)
+        return _shift_round((basis @ c @ basis.T).astype(np.int64), spec.inverse_shift)
+    bi = _inverse_matrix(spec.kind, spec.size)
     return _shift_round(bi @ c @ bi.T, spec.inverse_shift)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_codec
 from spectralpq import pipeline
 from spectralpq.entropy import (
     LEVEL_LIMIT,
@@ -161,6 +162,33 @@ def test_single_dc_level_round_trip():
     w = BitWriter()
     encode_block(levels, w)
     assert np.array_equal(decode_block(BitReader(w.getvalue()), 32), levels)
+
+
+def _packer_test_blocks(n, rng):
+    zero = np.zeros((n, n), dtype=np.int64)
+    dc = zero.copy()
+    dc[0, 0] = -7
+    last = zero.copy()
+    last[-1, -1] = 1
+    signs = rng.choice([-1, 1], (n, n))
+    return [zero, dc, last, rng.integers(-40, 41, (n, n)), rng.integers(-3000, 3001, (n, n)),
+            LEVEL_LIMIT * signs, np.full((n, n), -LEVEL_LIMIT), np.full((n, n), LEVEL_LIMIT)]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+@pytest.mark.parametrize("offset", [0, 3, 7])
+def test_encode_block_matches_python_int_packer(n, offset):
+    # The vectorised bit placement against the per-level Python-int packer
+    # of the reference codec, written after `offset` bits of other syntax.
+    rng = np.random.default_rng(n + offset)
+    for levels in _packer_test_blocks(n, rng):
+        got, want = BitWriter(), BitWriter()
+        for w in (got, want):
+            w.write_uint((1 << offset) - 1, offset)
+        nbits = encode_block(levels, got)
+        assert nbits == reference_codec.encode_block(levels, want)
+        assert got.tell() == want.tell() and got.getvalue() == want.getvalue()
+        assert nbits == block_bits(levels)
 
 
 def test_level_overflow_rejected():

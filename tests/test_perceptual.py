@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from spectralpq.errors import StructuralError
 from spectralpq.frames import Frame, partition
 from spectralpq.perceptual import (
     DEFAULT_CONSTANTS,
     adaptiveqp_offset,
     cb_activity,
+    cu_activities,
     frame_activity,
     frame_mean_activity,
     normalized_activity,
@@ -158,3 +160,51 @@ def test_adaptiveqp_offsets():
     assert DEFAULT_CONSTANTS.qp_offset_mean == 6
     assert DEFAULT_CONSTANTS.qp_offset_max == 12
     assert DEFAULT_CONSTANTS.activity_scale == 2
+
+
+def _activity_planes(bit_depth, rng, shape=(128, 192)):
+    top = (1 << bit_depth) - 1
+    near_flat = rng.integers(top // 2, top // 2 + 2, shape)
+    near_flat[rng.random(shape) < 0.98] = top // 2
+    return {
+        "flat": np.full(shape, top),
+        "zero": np.zeros(shape, dtype=np.int64),
+        "near_flat": near_flat,
+        "extremes": rng.choice([0, top], shape),
+        "uniform": rng.integers(0, top + 1, shape),
+        "mixed": np.where(rng.random(shape) < 0.5, rng.integers(0, top + 1, shape), top),
+    }
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+@pytest.mark.parametrize("cu_size", [8, 16, 32])
+def test_cu_activities_equal_cb_activity_exactly(bit_depth, cu_size):
+    rng = np.random.default_rng(bit_depth * cu_size)
+    for dtype in (np.int32, np.uint16, np.uint8)[: 3 if bit_depth == 8 else 2]:
+        for name, plane in _activity_planes(bit_depth, rng).items():
+            plane = plane.astype(dtype)
+            got = cu_activities(plane, cu_size)
+            rows, cols = plane.shape[0] // cu_size, plane.shape[1] // cu_size
+            assert got.shape == (rows, cols), name
+            for r in range(rows):
+                for c in range(cols):
+                    block = plane[r * cu_size : (r + 1) * cu_size, c * cu_size : (c + 1) * cu_size]
+                    assert got[r, c] == cb_activity(block), (name, r, c)
+
+
+def test_cu_activities_rejects_a_plane_off_the_grid():
+    with pytest.raises(StructuralError):
+        cu_activities(np.zeros((64, 72), dtype=np.int64), 16)
+    with pytest.raises(StructuralError):
+        cu_activities(np.zeros((8, 8), dtype=np.int64), 4)
+
+
+def test_frame_activity_takes_g_from_the_grid_in_cu_order():
+    rng = np.random.default_rng(5)
+    plane = rng.integers(0, 256, (64, 128)).astype(np.uint8)
+    frame = Frame(128, 64, 8, (plane, plane, plane))
+    cus = list(partition(frame, 16))[::-3]
+    acts = frame_activity(plane, cus, "R")
+    assert [a.g for a in acts] == [cb_activity(plane[cu.y : cu.y + 16, cu.x : cu.x + 16])
+                                   for cu in cus]
+    assert all(a.channel == "R" and a.frame_mean == acts[0].frame_mean for a in acts)

@@ -349,3 +349,78 @@ def test_gop_structure_marks_intra_frames():
     assert types == ["I", "P", "P", "P", "I", "P", "P", "P", "I", "P"]
     for f in result.stats.frames:
         assert (f.motion is None) == (f.frame_type == "I")
+
+
+# Hand-built 64x64 streams at CU 32: a frame has 4 CUs, each with three 6-bit
+# QPs, an MV pair in P-frames and three coded blocks, whose all-zero form is
+# an 11-bit zero token.
+def _hand_built(frame_count, *frames):
+    writer = BitWriter()
+    StreamHeader(64, 64, 8, 30, 32, 0, 27, frame_count).write(writer)
+    for write in frames:
+        write(writer)
+    return writer
+
+
+def _zero_intra_frame(writer):
+    writer.write_uint(0, 1)
+    for _ in range(4):
+        for _ in range(3):
+            writer.write_uint(27, 6)
+        for _ in range(3):
+            writer.write_uint(0, 11)
+
+
+def _inter_frame_to_first_mv(writer):
+    writer.write_uint(1, 1)
+    for _ in range(3):
+        writer.write_uint(27, 6)
+
+
+def _decode_error(data) -> str:
+    with pytest.raises(DecodeError) as err:
+        decode_sequence(data)
+    return str(err.value)
+
+
+def test_hand_built_zero_intra_frame_decodes():
+    writer = _hand_built(1, _zero_intra_frame)
+    assert writer.tell() == 128 + 1 + 4 * 51
+    (frame,) = decode_sequence(writer.getvalue())
+    assert all(np.all(p == 128) for p in frame.planes)
+
+
+def test_first_frame_inter_rejected():
+    data = _hand_built(1, _inter_frame_to_first_mv).getvalue()
+    assert _decode_error(data) == "frame 0 is inter but no reference exists"
+
+
+def test_motion_vector_at_stream_end_is_truncation():
+    writer = _hand_built(2, _zero_intra_frame, _inter_frame_to_first_mv)
+    assert writer.tell() == 352  # the stream ends on a byte boundary, where the MV starts
+    assert _decode_error(writer.getvalue()) == "bitstream truncated at bit offset 352"
+
+
+def test_motion_vector_prefix_past_stream_end_is_truncation():
+    # 9 zeros and a 1-bit need 9 more bits; 6 bits, padding included, remain.
+    writer = _hand_built(2, _zero_intra_frame, _inter_frame_to_first_mv)
+    writer.write_uint(1, 10)
+    assert len(writer.getvalue()) * 8 == 352 + 16
+    assert _decode_error(writer.getvalue()) == "bitstream truncated at bit offset 352"
+
+
+def test_trailing_data_after_last_frame_rejected():
+    writer = _hand_built(1, _zero_intra_frame)
+    data = writer.getvalue()
+    assert decode_sequence(data)
+    message = "trailing data after the last frame at bit offset 333"
+    padding_bit = data[:-1] + bytes([data[-1] | 1])
+    for bad in (data + bytes(1), data + b"\x80", padding_bit):
+        assert _decode_error(bad) == message
+    stream = encode_sequence(_noise_frames(2, seed=41), EncoderConfig(base_qp=27))
+    assert len(decode_sequence(stream.bitstream)) == 2
+    end = 128 + stream.stats.total_bits
+    garbage = np.random.default_rng(41).integers(0, 256, 700, dtype=np.uint8).tobytes()
+    assert _decode_error(stream.bitstream + garbage) == (
+        f"trailing data after the last frame at bit offset {end}"
+    )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spectralpq.entropy import block_bits, level_bits
+import reference_codec
+from spectralpq.entropy import LEVEL_LIMIT, block_bits, level_bits
 from spectralpq.errors import ConfigurationError
 from spectralpq.quantizer import (
     M_TABLE,
@@ -52,8 +53,15 @@ def test_qbits_and_deadzone():
 
 @pytest.mark.parametrize("qp,n", [(-1, 4), (52, 4), (30, 5), (30, 64)])
 def test_quant_params_validation(qp, n):
-    with pytest.raises(ConfigurationError):
-        quant_params(qp, n)
+    for _ in range(2):  # every call raises, cached or not
+        with pytest.raises(ConfigurationError):
+            quant_params(qp, n)
+
+
+def test_quant_params_and_rdoq_config_are_cached():
+    assert quant_params(27, 8) is quant_params(27, 8)
+    assert rdoq_config(27, 8, 10) is rdoq_config(27, 8, 10)
+    assert quant_params(np.int64(27), 8) == quant_params(27, 8)
 
 
 def test_urq_worked_examples():
@@ -141,3 +149,19 @@ def test_rdoq_config_units_and_validation():
     assert rdoq_config(12, 4).lam == pytest.approx(0.57 * (1 << (16 - 8 - 2)) ** 2)
     with pytest.raises(ConfigurationError):
         RdoqConfig(0.0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_rdoq_matches_signed_int64_reference(n):
+    # Every coefficient magnitude below 2^14 in one pass, random blocks up to
+    # past saturation, and zeros, at every QP and both bit depths' multipliers.
+    rng = np.random.default_rng(n)
+    sweep = np.arange(-(1 << 14), 1 << 14).reshape(-1, n, n)
+    blocks = [rng.integers(-(1 << 23), 1 << 23, (n, n)), rng.integers(-200, 201, (n, n)),
+              np.zeros((n, n), dtype=np.int64), np.full((n, n), -(LEVEL_LIMIT << 9))]
+    for qp in range(52):
+        for bit_depth in (8, 10):
+            cfg = rdoq_config(qp, n, bit_depth)
+            for coeffs in [sweep] + blocks:
+                got = rdoq_quantize(coeffs, qp, n, cfg)
+                assert np.array_equal(got, reference_codec.rdoq_quantize(coeffs, qp, n, cfg))

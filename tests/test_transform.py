@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import reference_codec
+from spectralpq import transform
 from spectralpq.errors import StructuralError
 from spectralpq.transform import (
     DST_4X4,
     TransformSpec,
+    _float_basis,
+    _inverse_matrix,
     coefficient_distance,
     coefficient_scale,
     dct_matrix,
@@ -170,3 +174,79 @@ def test_spec_shift_schedule_is_gain_one():
             spec = make_spec(n, "DCT", bd)
             assert isinstance(spec, TransformSpec)
             assert spec.forward_shift + spec.inverse_shift == 48
+
+
+def _sign_patterns(basis, rng):
+    """Sign blocks that drive single outputs of `basis @ x @ basis.T` to their
+    largest magnitude, plus constant, checkerboard and random signs."""
+    n = basis.shape[0]
+    rows = [np.sign(basis[k]) + (basis[k] == 0) for k in range(n)]
+    blocks = [np.outer(rows[k], rows[m]) for k in range(n) for m in range(n)]
+    blocks += [np.ones((n, n)), -np.ones((n, n)), np.indices((n, n)).sum(axis=0) % 2 * 2 - 1]
+    blocks += list(rng.choice([-1, 1], (8, n, n)))
+    return np.array(blocks, dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind,n", [("DST", 4)] + [("DCT", n) for n in SIZES])
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_forward_float_path_equals_int64_at_sample_extremes(kind, n, bit_depth):
+    spec = make_spec(n, kind, bit_depth)
+    top = (1 << bit_depth) - 1
+    signs = _sign_patterns(spec.basis, np.random.default_rng(n + bit_depth))
+    for block in np.concatenate([top * signs, (top - 1) * signs, signs]):
+        assert np.array_equal(forward(block, spec), reference_codec.forward(block, spec))
+
+
+@pytest.mark.parametrize("kind,n", [("DST", 4)] + [("DCT", n) for n in SIZES])
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_inverse_float_path_equals_int64_up_to_its_bound(kind, n, bit_depth):
+    spec = make_spec(n, kind, bit_depth)
+    _, limit = _float_basis(kind, n, True)
+    signs = _sign_patterns(_inverse_matrix(kind, n), np.random.default_rng(n * bit_depth))
+    for coeffs in np.concatenate([limit * signs, (limit - 1) * signs, 1000 * signs]):
+        assert np.array_equal(inverse(coeffs, spec), reference_codec.inverse(coeffs, spec))
+
+
+@pytest.mark.parametrize("kind,n", [("DST", 4)] + [("DCT", n) for n in SIZES])
+def test_float_bounds_derived_from_the_bases(kind, n):
+    for inv, basis in ((False, DST_4X4 if kind == "DST" else dct_matrix(n)),
+                       (True, _inverse_matrix(kind, n))):
+        _, limit = _float_basis(kind, n, inv)
+        l1 = int(np.abs(basis).sum(axis=1).max())
+        assert limit * l1 * l1 < 1 << 53 <= (limit + 1) * l1 * l1
+    # the inverse goes exact in float64 up to about 2^17; sample residuals of
+    # 10-bit frames (and so every forward input) are far inside the forward bound
+    assert 1 << 17 <= _float_basis(kind, n, True)[1] < 1 << 18
+    assert _float_basis(kind, n, False)[1] > 1 << 30
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_inverse_above_its_bound_takes_the_int64_product(n, monkeypatch):
+    spec = make_spec(n, "DCT", 8)
+    _, limit = _float_basis("DCT", n, True)
+    int64_products = []
+
+    def spy(kind, size):
+        int64_products.append((kind, size))
+        return _inverse_matrix(kind, size)
+
+    monkeypatch.setattr(transform, "_inverse_matrix", spy)
+    signs = _sign_patterns(_inverse_matrix("DCT", n), np.random.default_rng(n))[:4]
+    for magnitude, int64_path in ((limit - 1, False), (limit, False), (limit + 1, True),
+                                  (limit + 2, True), (1 << 30, True)):
+        for coeffs in (magnitude * signs[0], -magnitude * signs[1]):
+            int64_products.clear()
+            got = inverse(coeffs, spec)
+            assert int64_products == ([("DCT", n)] if int64_path else [])
+            assert np.array_equal(got, reference_codec.inverse(coeffs, spec))
+
+
+def test_forward_rejects_blocks_beyond_its_float_bound():
+    spec = make_spec(32, "DCT", 8)
+    _, limit = _float_basis("DCT", 32, False)
+    block = np.zeros((32, 32), dtype=np.int64)
+    block[5, 7] = -limit
+    assert np.array_equal(forward(block, spec), reference_codec.forward(block, spec))
+    block[5, 7] = -limit - 1
+    with pytest.raises(StructuralError, match="exceeds the transform limit"):
+        forward(block, spec)
