@@ -61,19 +61,21 @@ def cb_activity(cb: np.ndarray) -> float:
 
 
 def cu_activities(plane: np.ndarray, cu_size: int) -> np.ndarray:
-    """cb_activity of every cu_size x cu_size block of a plane, as a (rows,
-    cols) array, from the quadrant sums S1 of x and S2 of x^2.
+    """cb_activity of every cu_size x cu_size block of an integer plane, as a
+    (rows, cols) array, from the quadrant sums S1 of x and S2 of x^2.
 
     A quadrant has N = (cu_size / 2)^2 samples, a power of two.  For integer
     samples every step of np.var is then exact in float64 and equals
-    (N * S2 - S1^2) / N^2, which int64 sums give exactly, so on integer
-    planes the result equals cb_activity block by block.
+    (N * S2 - S1^2) / N^2, which int64 sums give exactly, so the result
+    equals cb_activity block by block.
     """
-    rows, cols = np.asarray(plane).shape
+    rows, cols = plane.shape
+    if not np.issubdtype(plane.dtype, np.integer):
+        raise StructuralError(f"plane dtype {plane.dtype} is not an integer type")
     if cu_size < 8 or cu_size % 2 or rows % cu_size or cols % cu_size:
         raise StructuralError(f"plane {plane.shape} is not a grid of {cu_size}x{cu_size} blocks")
     half = cu_size // 2
-    x = plane.astype(np.int64) if np.issubdtype(plane.dtype, np.integer) else plane
+    x = plane.astype(np.int64)
     s1 = box_sums(x, half)[::half, ::half]
     s2 = box_sums(x * x, half)[::half, ::half]
     n = half * half
@@ -96,12 +98,7 @@ def normalized_activity(g: float, frame_mean: float) -> float:
 def frame_activity(plane: np.ndarray, cus, channel: str) -> list[ChannelActivity]:
     """g, the frame mean H of g and the normalized activity a of every CU of
     one channel plane, in the order of `cus`."""
-    grids = {}
-    gs = []
-    for cu in cus:
-        if cu.size not in grids:
-            grids[cu.size] = cu_activities(plane, cu.size)
-        gs.append(float(grids[cu.size][cu.y // cu.size, cu.x // cu.size]))
+    gs = [cb_activity(plane[cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]) for cu in cus]
     mean = frame_mean_activity(gs)
     return [ChannelActivity(channel, g, mean, normalized_activity(g, mean)) for g in gs]
 

@@ -22,9 +22,9 @@ from .frames import (
     CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane, partition,
 )
 from .motion import MotionField, MotionVector, estimate_motion_field
-from .perceptual import (  # cb_activity stays bound here for codecbench's tracer
+from .perceptual import (
     adaptiveqp_offset,
-    cb_activity,  # noqa: F401
+    cb_activity,  # noqa: F401 - unused here, but codecbench's tracer wraps pipeline.cb_activity
     cu_activities,
     frame_mean_activity,
     normalized_activity,

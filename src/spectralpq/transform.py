@@ -120,19 +120,22 @@ def _shift_round(v: np.ndarray, shift: int) -> np.ndarray:
 
 
 def forward(block: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Forward transform of a block or a stack of blocks; DC lands at (0, 0)."""
+    """Forward transform of a block or a stack of blocks; DC lands at (0, 0).
+    A block beyond the float64 bound (2^31 - 1 at size 32) raises StructuralError."""
     if block.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"block shape {block.shape} does not match spec size {spec.size}")
     basis, limit = _float_basis(spec.kind, spec.size, False)
     x = block.astype(np.int64)
-    if _max_magnitude(x) > limit:
-        raise StructuralError(f"block magnitude {_max_magnitude(x)} exceeds the transform limit {limit}")
+    peak = _max_magnitude(x)
+    if peak > limit:
+        raise StructuralError(f"block magnitude {peak} exceeds the transform limit {limit}")
     x = x.astype(np.float64)
     return _shift_round((basis @ x @ basis.T).astype(np.int64), spec.forward_shift)
 
 
 def inverse(coeffs: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Inverse transform of a block or a stack of blocks (precision inverse basis)."""
+    """Inverse transform of a block or a stack of blocks (precision inverse basis);
+    coefficients beyond the float64 bound (about 2^17) take the int64 product."""
     if coeffs.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"coeff shape {coeffs.shape} does not match spec size {spec.size}")
     basis, limit = _float_basis(spec.kind, spec.size, True)

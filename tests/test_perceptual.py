@@ -197,14 +197,5 @@ def test_cu_activities_rejects_a_plane_off_the_grid():
         cu_activities(np.zeros((64, 72), dtype=np.int64), 16)
     with pytest.raises(StructuralError):
         cu_activities(np.zeros((8, 8), dtype=np.int64), 4)
-
-
-def test_frame_activity_takes_g_from_the_grid_in_cu_order():
-    rng = np.random.default_rng(5)
-    plane = rng.integers(0, 256, (64, 128)).astype(np.uint8)
-    frame = Frame(128, 64, 8, (plane, plane, plane))
-    cus = list(partition(frame, 16))[::-3]
-    acts = frame_activity(plane, cus, "R")
-    assert [a.g for a in acts] == [cb_activity(plane[cu.y : cu.y + 16, cu.x : cu.x + 16])
-                                   for cu in cus]
-    assert all(a.channel == "R" and a.frame_mean == acts[0].frame_mean for a in acts)
+    with pytest.raises(StructuralError):
+        cu_activities(np.zeros((64, 64)), 16)

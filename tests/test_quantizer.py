@@ -165,3 +165,15 @@ def test_rdoq_matches_signed_int64_reference(n):
             for coeffs in [sweep] + blocks:
                 got = rdoq_quantize(coeffs, qp, n, cfg)
                 assert np.array_equal(got, reference_codec.rdoq_quantize(coeffs, qp, n, cfg))
+
+
+def test_rdoq_ties_break_toward_the_smaller_level():
+    # At QP 4, N = 4 level k reconstructs to 32 * k.  48 costs 48^2 + lam at
+    # level 0 and 16^2 + 3 * lam at level 1, equal at lam = 1024; 56 costs
+    # 24^2 + 3 * lam at level 1 and 8^2 + 5 * lam at level 2, equal at lam = 256.
+    assert rdoq_candidates(48, 4, 4) == rdoq_candidates(56, 4, 4) == (0, 1, 2)
+    for x, lam, level in ((48, 1024.0, 0), (-56, 256.0, -1)):
+        got = rdoq_quantize(np.array([[x]]), 4, 4, RdoqConfig(lam))
+        assert got[0, 0] == level
+        assert np.array_equal(got, reference_codec.rdoq_quantize(np.array([[x]]), 4, 4,
+                                                                 RdoqConfig(lam)))
