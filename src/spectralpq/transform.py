@@ -67,10 +67,13 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
+def _basis(kind: str, n: int) -> np.ndarray:
+    return DST_4X4 if kind == "DST" else dct_matrix(n)
+
+
 @lru_cache(maxsize=None)
 def _inverse_matrix(kind: str, n: int) -> np.ndarray:
-    basis = DST_4X4 if kind == "DST" else dct_matrix(n)
-    inv = np.linalg.inv(basis.astype(np.float64))
+    inv = np.linalg.inv(_basis(kind, n).astype(np.float64))
     out = _round_half_away(inv * (1 << INVERSE_BASIS_BITS))
     out.setflags(write=False)
     return out
@@ -82,7 +85,7 @@ def _float_basis(kind: str, n: int, inverse: bool) -> tuple[np.ndarray, int]:
     at which float64 `basis @ x @ basis.T` is exact: every partial sum is at
     most that magnitude times the square of the basis's largest row L1 norm,
     and float64 holds every integer below 2^53."""
-    basis = _inverse_matrix(kind, n) if inverse else DST_4X4 if kind == "DST" else dct_matrix(n)
+    basis = _inverse_matrix(kind, n) if inverse else _basis(kind, n)
     l1 = int(np.abs(basis).sum(axis=1).max())
     out = basis.astype(np.float64)
     out.setflags(write=False)
@@ -109,7 +112,7 @@ def make_spec(size: int, kind: str = "DCT", bit_depth: int = 8) -> TransformSpec
         raise StructuralError(f"kind must be DCT or DST, got {kind!r}")
     if kind == "DST" and size != 4:
         raise StructuralError("DST is defined for 4x4 blocks only")
-    basis = DST_4X4 if kind == "DST" else dct_matrix(size)
+    basis = _basis(kind, size)
     fwd = 2 * int(np.log2(size)) + bit_depth - 4
     return TransformSpec(size, kind, basis, fwd, 2 * INVERSE_BASIS_BITS - fwd)
 

@@ -209,7 +209,7 @@ def test_inverse_float_path_equals_int64_up_to_its_bound(kind, n, bit_depth):
 
 @pytest.mark.parametrize("kind,n", [("DST", 4)] + [("DCT", n) for n in SIZES])
 def test_float_bounds_derived_from_the_bases(kind, n):
-    for inv, basis in ((False, DST_4X4 if kind == "DST" else dct_matrix(n)),
+    for inv, basis in ((False, make_spec(n, kind).basis),
                        (True, _inverse_matrix(kind, n))):
         _, limit = _float_basis(kind, n, inv)
         l1 = int(np.abs(basis).sum(axis=1).max())
