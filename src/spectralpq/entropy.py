@@ -187,25 +187,18 @@ class BitReader:
         return ends, np.where(ue & 1, (ue + 1) >> 1, -(ue >> 1))
 
 
-def level_bits(level: int) -> int:
-    """Exact signed exp-Golomb code length for a level of magnitude below 2^51."""
-    return int(level_bits_array(np.asarray(level)))
+def level_bits(levels):
+    """Exact signed exp-Golomb code length of a level (an int), or of each
+    level of an integer array, of magnitude below 2^51."""
+    # The signed map sends k to 2|k| - 1 or 2|k|, so the coded value + 1 has
+    # one bit more than |k| and the code 2 * bit_length(|k|) + 1 bits; frexp's
+    # exponent of an integer below 2^53 is exactly its bit length.
+    bits = 2 * np.frexp(np.abs(levels))[1] + 1
+    return bits if bits.ndim else int(bits)
 
 
 def _signed_map(levels: np.ndarray) -> np.ndarray:
     return np.where(levels > 0, 2 * levels - 1, -2 * levels)
-
-
-def _code_bits(plus1: np.ndarray) -> np.ndarray:
-    """Exp-Golomb code length (int32) of each unsigned value + 1, below 2^53."""
-    # frexp's exponent of an integer below 2^53 is exactly its bit length
-    return 2 * np.frexp(plus1)[1] - 1
-
-
-def level_bits_array(levels: np.ndarray) -> np.ndarray:
-    """Signed exp-Golomb code length of each element of an integer array of
-    magnitude below 2^51."""
-    return _code_bits(_signed_map(levels) + 1).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +255,7 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
         vals = coded.scan[: coded.last_significant + 1]
         # signed map then +1: the value written for each (2*width-1)-bit code
         plus1 = _signed_map(vals) + 1
-        nbits = _code_bits(plus1)
+        nbits = level_bits(vals)
         ends = np.cumsum(nbits)
         total = int(ends[-1])
         # Bit k of the concatenated codes is bit (end of its code - 1 - k)

@@ -1,4 +1,4 @@
-"""Raw RGB 4:4:4 sequence I/O, block partitioning and window sums.
+"""Raw RGB 4:4:4 sequence I/O, block partitioning, block views and window sums.
 
 Sequences are header-less planar files: frames concatenated, each frame
 stored as its G plane, then B, then R, row-major.  8-bit samples take one
@@ -201,10 +201,23 @@ def box_sums(plane: np.ndarray, size: int) -> np.ndarray:
     return sat[size:, size:] - sat[:-size, size:] - sat[size:, :-size] + sat[:-size, :-size]
 
 
+def tiles(plane: np.ndarray, n: int) -> np.ndarray:
+    """The n x n blocks of a plane, or of each plane of a stack, as a
+    (..., rows, cols, n, n) view in raster order."""
+    if plane.ndim < 2 or n < 1 or plane.shape[-2] % n or plane.shape[-1] % n:
+        raise StructuralError(f"plane {plane.shape} is not a grid of {n}x{n} blocks")
+    *lead, h, w = plane.shape
+    return plane.reshape(*lead, h // n, n, w // n, n).swapaxes(-3, -2)
+
+
+def _quadrant_size(cb: np.ndarray) -> int:
+    """N of a 2Nx2N channel block, or of each block of a stack."""
+    if cb.ndim < 2 or cb.shape[-1] != cb.shape[-2] or cb.shape[-1] % 2 or cb.shape[-1] < 8:
+        raise StructuralError(f"channel block must be square, even, >= 8; got {cb.shape}")
+    return cb.shape[-1] // 2
+
+
 def subblocks(cb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four NxN quadrants of a 2Nx2N channel block, raster order."""
-    h, w = cb.shape
-    if h != w or h % 2 or h < 8:
-        raise StructuralError(f"channel block must be square, even, >= 8; got {cb.shape}")
-    n = h // 2
-    return cb[:n, :n], cb[:n, n:], cb[n:, :n], cb[n:, n:]
+    n = _quadrant_size(cb)
+    return cb[..., :n, :n], cb[..., :n, n:], cb[..., n:, :n], cb[..., n:, n:]

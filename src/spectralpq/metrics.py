@@ -28,15 +28,25 @@ class QualityReport:
     visually_lossless: bool
 
 
+def _sse(ref: np.ndarray, rec: np.ndarray) -> float:
+    diff = ref.astype(np.float64) - rec.astype(np.float64)
+    return float(np.sum(diff * diff))
+
+
+def _psnr_db(sse: float, count: int, bit_depth: int) -> float:
+    """10*log10(MAX^2 / MSE) from a sum of squared errors over `count` samples;
+    math.inf when the error is zero."""
+    if sse == 0.0:
+        return math.inf
+    peak = (1 << bit_depth) - 1
+    return 10.0 * math.log10(peak * peak / (sse / count))
+
+
 def psnr(ref: np.ndarray, rec: np.ndarray, bit_depth: int) -> float:
     """10*log10(MAX^2 / MSE); identical planes return math.inf."""
     if ref.shape != rec.shape:
         raise StructuralError(f"plane shapes differ: {ref.shape} vs {rec.shape}")
-    mse = float(np.mean((ref.astype(np.float64) - rec.astype(np.float64)) ** 2))
-    if mse == 0.0:
-        return math.inf
-    peak = (1 << bit_depth) - 1
-    return 10.0 * math.log10(peak * peak / mse)
+    return _psnr_db(_sse(ref, rec), ref.size, bit_depth)
 
 
 def ssim(ref: np.ndarray, rec: np.ndarray, bit_depth: int) -> float:
@@ -84,13 +94,6 @@ def sequence_psnr(refs: list[Frame], recs: list[Frame], channel: str) -> float:
     """PSNR of one channel pooled over all frames of a sequence."""
     if len(refs) != len(recs):
         raise StructuralError("sequence lengths differ")
-    total = 0.0
-    count = 0
-    for ref, rec in zip(refs, recs):
-        diff = ref.plane(channel).astype(np.float64) - rec.plane(channel).astype(np.float64)
-        total += float(np.sum(diff * diff))
-        count += diff.size
-    if total == 0.0:
-        return math.inf
-    peak = (1 << refs[0].bit_depth) - 1
-    return 10.0 * math.log10(peak * peak / (total / count))
+    sse = sum(_sse(ref.plane(channel), rec.plane(channel)) for ref, rec in zip(refs, recs))
+    count = sum(ref.plane(channel).size for ref in refs)
+    return _psnr_db(sse, count, refs[0].bit_depth if refs else 8)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .frames import BlockTree, box_sums
+from .frames import BlockTree, box_sums, tiles
 
 SUB_BLOCK = 4    # side of the sub-blocks whose sums bound the SAD
 
@@ -68,7 +68,7 @@ class _Reference:
 
     def block_sums(self, block: np.ndarray) -> np.ndarray:
         """The sub-block sums of a block, in the layout of `window_sums`."""
-        return box_sums(block, self.sub)[:: self.sub, :: self.sub].astype(np.int32)
+        return tiles(block, self.sub).sum(axis=(-2, -1), dtype=np.int32)
 
     def search(self, block, sums, x, y, search_range, seeds=()) -> MotionVector:
         """The minimum-SAD vector of the block at (x, y); the SADs of (0, 0)

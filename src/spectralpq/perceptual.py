@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
-from .frames import box_sums, subblocks
+from .frames import _quadrant_size, tiles
 from .quantizer import QP_MAX, QP_MIN
 
 @dataclass(frozen=True)
@@ -55,32 +54,13 @@ def round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def cb_activity(cb: np.ndarray) -> float:
-    """1 + the minimum population variance over the four quadrants."""
-    return 1.0 + min(float(np.var(q)) for q in subblocks(cb))
-
-
-def cu_activities(plane: np.ndarray, cu_size: int) -> np.ndarray:
-    """cb_activity of every cu_size x cu_size block of an integer plane, as a
-    (rows, cols) array, from the quadrant sums S1 of x and S2 of x^2.
-
-    A quadrant has N = (cu_size / 2)^2 samples, a power of two.  For integer
-    samples every step of np.var is then exact in float64 and equals
-    (N * S2 - S1^2) / N^2, which int64 sums give exactly, so the result
-    equals cb_activity block by block.
-    """
-    rows, cols = plane.shape
-    if not np.issubdtype(plane.dtype, np.integer):
-        raise StructuralError(f"plane dtype {plane.dtype} is not an integer type")
-    if cu_size < 8 or cu_size % 2 or rows % cu_size or cols % cu_size:
-        raise StructuralError(f"plane {plane.shape} is not a grid of {cu_size}x{cu_size} blocks")
-    half = cu_size // 2
-    x = plane.astype(np.int64)
-    s1 = box_sums(x, half)[::half, ::half]
-    s2 = box_sums(x * x, half)[::half, ::half]
-    n = half * half
-    var = (n * s2 - s1 * s1) / (n * n)
-    return 1.0 + var.reshape(rows // cu_size, 2, cols // cu_size, 2).min(axis=(1, 3))
+def cb_activity(cb: np.ndarray):
+    """1 + the minimum population variance over the four quadrants of a
+    2Nx2N channel block (a float), or of each block of a (..., 2N, 2N)
+    stack (an array).  For integer samples and power-of-two block sizes every
+    step of np.var is exact in float64, so no summation order changes g."""
+    g = 1.0 + np.var(tiles(cb, _quadrant_size(cb)), axis=(-2, -1)).min(axis=(-2, -1))
+    return g if cb.ndim > 2 else float(g)
 
 
 def frame_mean_activity(activities) -> float:

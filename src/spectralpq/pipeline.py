@@ -19,13 +19,12 @@ import numpy as np
 from .entropy import BitReader, BitWriter, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
 from .frames import (
-    CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane, partition,
+    CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane, partition, tiles,
 )
 from .motion import MotionField, MotionVector, estimate_motion_field
 from .perceptual import (
     adaptiveqp_offset,
-    cb_activity,  # noqa: F401 - unused here, but codecbench's tracer wraps pipeline.cb_activity
-    cu_activities,
+    cb_activity,
     frame_mean_activity,
     normalized_activity,
     perceptual_qp,
@@ -221,7 +220,8 @@ def _crop(recon, shape, dtype) -> Frame:
 def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> list:
     """The frame's CbStat rows, CU-major then G, B, R: each channel block's
     activity, masking terms and QP according to the mode."""
-    gs = {ch: cu_activities(p, tree.cu_size).ravel().tolist() for ch, p in zip(PLANE_ORDER, orig)}
+    gs = {ch: cb_activity(tiles(p, tree.cu_size)).ravel().tolist()
+          for ch, p in zip(PLANE_ORDER, orig)}
     means = {ch: frame_mean_activity(gs[ch]) for ch in PLANE_ORDER}
     f = motion.mean_magnitude if motion else 0.0
     cbs = []

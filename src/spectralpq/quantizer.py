@@ -18,6 +18,7 @@ import numpy as np
 
 from .entropy import LEVEL_LIMIT, level_bits
 from .errors import ConfigurationError
+from .frames import _is_integer
 from .transform import coefficient_scale
 
 QP_MIN = 0
@@ -51,14 +52,20 @@ def qstep(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
-# Pure, and cached per argument type, so a float qp misses the cache and
-# fails as it would uncached; a ConfigurationError is raised on every call.
+def _check_qp_and_size(qp, n) -> None:
+    """ConfigurationError unless qp is an integer in [QP_MIN, QP_MAX] and n one of BLOCK_SIZES."""
+    if not (_is_integer(qp) and QP_MIN <= qp <= QP_MAX):
+        raise ConfigurationError(f"qp must be an integer in [{QP_MIN}, {QP_MAX}], got {qp!r}")
+    if not (_is_integer(n) and n in BLOCK_SIZES):
+        raise ConfigurationError(f"block size must be one of {BLOCK_SIZES}, got {n!r}")
+
+
+# quant_params and rdoq_config are pure and cached per argument type, so a bool
+# or a float never hits the entry of an equal int: every call with a bad
+# argument runs the checks and raises ConfigurationError.
 @lru_cache(maxsize=None, typed=True)
 def quant_params(qp: int, n: int) -> QuantParams:
-    if not QP_MIN <= qp <= QP_MAX:
-        raise ConfigurationError(f"qp must be in [{QP_MIN}, {QP_MAX}], got {qp}")
-    if n not in BLOCK_SIZES:
-        raise ConfigurationError(f"block size must be one of {BLOCK_SIZES}, got {n}")
+    _check_qp_and_size(qp, n)
     r = qp % 6
     qbits = 21 + qp // 6 - int(np.log2(n))
     # Rounding offset of half a step; equals the canonical 2^18 at N=4, qp < 6.
@@ -112,6 +119,9 @@ def rdoq_config(qp: int, n: int = 4, bit_depth: int = 8) -> RdoqConfig:
     gain of 2^(16 - bit_depth - log2 n) over sample amplitudes, so the
     sample-domain schedule is scaled by that gain squared.
     """
+    _check_qp_and_size(qp, n)
+    if not (_is_integer(bit_depth) and bit_depth in (8, 10)):
+        raise ConfigurationError(f"bit depth must be 8 or 10, got {bit_depth!r}")
     scale = coefficient_scale(n, bit_depth)
     return RdoqConfig(default_lambda(qp) * scale * scale)
 
@@ -144,11 +154,10 @@ def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig) -> np.nd
     ax = np.abs(x)
     l1 = np.minimum((ax * p.m) >> p.qbits, LEVEL_LIMIT - 1)
     candidates = np.stack((np.zeros_like(l1), l1, l1 + 1))
-    # Candidates are non-negative: urq_dequantize without its sign, and the
-    # code length 2 * bit_length + 1 of level_bits.
+    # Candidates are non-negative: urq_dequantize without its sign.
     recon = (candidates * p.s << p.period) >> (int(np.log2(n)) - 1)
     err = (ax - recon).astype(np.float64)
-    c0, c1, c2 = err * err + cfg.lam * (2 * np.frexp(candidates)[1] + 1)
+    c0, c1, c2 = err * err + cfg.lam * level_bits(candidates)
     # The first minimum: l1 + 1 only if strictly cheaper than l1, 0 on a tie.
     level = np.where(c2 < c1, candidates[2], l1)
     level[c0 <= np.minimum(c1, c2)] = 0

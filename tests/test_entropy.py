@@ -14,7 +14,6 @@ from spectralpq.entropy import (
     decode_block,
     encode_block,
     level_bits,
-    level_bits_array,
     scan_block,
     zigzag_order,
 )
@@ -64,8 +63,13 @@ def test_level_bits_array_matches_level_bits():
         w = BitWriter()
         w.write_se(int(v))
         emitted.append(w.tell())
-    assert level_bits_array(levels).tolist() == emitted
+    assert level_bits(levels).tolist() == emitted
     assert [level_bits(int(v)) for v in levels] == emitted
+    assert type(level_bits(-5)) is int and type(level_bits(np.int64(5))) is int
+    # every level the codec can meet: the code length of the signed-mapped value
+    levels = np.arange(-70000, 70001)
+    mapped = [2 * v - 1 if v > 0 else -2 * v for v in levels.tolist()]
+    assert level_bits(levels).tolist() == [2 * (m + 1).bit_length() - 1 for m in mapped]
 
 
 def test_writer_reader_inverse_random_fields():

@@ -13,6 +13,7 @@ from spectralpq.frames import (
     partition,
     save_sequence,
     subblocks,
+    tiles,
 )
 
 
@@ -303,3 +304,24 @@ def test_box_sums_match_brute_force(size, shape, dtype, top):
     else:
         assert sums.dtype == np.int64
         assert np.array_equal(sums, expected)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("shape", [(8, 8), (16, 24), (3, 8, 16)])
+def test_tiles_is_a_raster_view_of_the_blocks(n, shape):
+    plane = np.arange(np.prod(shape)).reshape(shape)
+    view = tiles(plane, n)
+    *lead, h, w = shape
+    assert view.shape == (*lead, h // n, w // n, n, n)
+    assert np.shares_memory(view, plane)
+    for r in range(h // n):
+        for c in range(w // n):
+            assert np.array_equal(view[..., r, c, :, :], plane[..., r * n : (r + 1) * n,
+                                                               c * n : (c + 1) * n])
+
+
+def test_tiles_rejects_a_plane_off_the_grid():
+    for plane, n in ((np.zeros((8, 12)), 8), (np.zeros((2, 12, 8)), 8), (np.zeros(8), 4),
+                     (np.zeros((8, 8)), 0)):
+        with pytest.raises(StructuralError):
+            tiles(plane, n)

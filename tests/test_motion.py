@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from spectralpq.frames import BlockTree, Frame, partition
+from spectralpq.frames import BlockTree, Frame, box_sums, partition
 from spectralpq.motion import (
     MotionVector,
+    _Reference,
     estimate_motion_field,
     estimate_mv,
     frame_mean_magnitude,
@@ -153,3 +154,17 @@ def test_pruned_search_equals_brute_force(kind, cu_size, search_range):
         assert vector == expected, (cu, vector, expected)
         assert estimate_mv(block, ref, cu.x, cu.y, search_range) == expected
     assert field.magnitudes == [mv_magnitude(v) for v in field.vectors]
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+def test_block_sums_equal_strided_box_sums(size):
+    rng = np.random.default_rng(size)
+    ref = _Reference(np.zeros((64, 64), dtype=np.int32), size)
+    for top in (255, 1023):
+        for block in (rng.integers(0, top + 1, (size, size)), rng.integers(0, top + 1, (64, 96)),
+                      np.full((size, size), top)):
+            block = block.astype(np.int32)
+            old = box_sums(block, ref.sub)[:: ref.sub, :: ref.sub].astype(np.int32)
+            got = ref.block_sums(block)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, old)

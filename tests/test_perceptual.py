@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from spectralpq.errors import StructuralError
-from spectralpq.frames import Frame, partition
+from spectralpq.frames import Frame, partition, tiles
 from spectralpq.perceptual import (
     DEFAULT_CONSTANTS,
     adaptiveqp_offset,
     cb_activity,
-    cu_activities,
     frame_activity,
     frame_mean_activity,
     normalized_activity,
@@ -176,26 +175,58 @@ def _activity_planes(bit_depth, rng, shape=(128, 192)):
     }
 
 
+def _quadrant_var_oracle(plane, cu_size):
+    """1 + the minimum np.var over the four quadrants of each block, one block at a time."""
+    half = cu_size // 2
+    rows, cols = plane.shape[0] // cu_size, plane.shape[1] // cu_size
+    g = np.empty((rows, cols))
+    for r in range(rows):
+        for c in range(cols):
+            y, x = r * cu_size, c * cu_size
+            g[r, c] = 1.0 + min(float(np.var(plane[y + dy : y + dy + half, x + dx : x + dx + half]))
+                                for dy in (0, half) for dx in (0, half))
+    return g
+
+
 @pytest.mark.parametrize("bit_depth", [8, 10])
 @pytest.mark.parametrize("cu_size", [8, 16, 32])
 def test_cu_activities_equal_cb_activity_exactly(bit_depth, cu_size):
+    # cb_activity over a plane's CU tiles equals a per-quadrant np.var
+    # oracle, and cb_activity block by block, exactly on integer samples.
     rng = np.random.default_rng(bit_depth * cu_size)
-    for dtype in (np.int32, np.uint16, np.uint8)[: 3 if bit_depth == 8 else 2]:
+    dtypes = (np.int32, np.uint16, np.float64) + ((np.uint8,) if bit_depth == 8 else ())
+    for dtype in dtypes:
         for name, plane in _activity_planes(bit_depth, rng).items():
             plane = plane.astype(dtype)
-            got = cu_activities(plane, cu_size)
-            rows, cols = plane.shape[0] // cu_size, plane.shape[1] // cu_size
-            assert got.shape == (rows, cols), name
-            for r in range(rows):
-                for c in range(cols):
-                    block = plane[r * cu_size : (r + 1) * cu_size, c * cu_size : (c + 1) * cu_size]
-                    assert got[r, c] == cb_activity(block), (name, r, c)
+            got = cb_activity(tiles(plane, cu_size))
+            assert got.shape == (plane.shape[0] // cu_size, plane.shape[1] // cu_size), name
+            assert np.array_equal(got, _quadrant_var_oracle(plane, cu_size)), (dtype, name)
+            blocks = tiles(plane, cu_size)
+            assert all(got[r, c] == cb_activity(blocks[r, c])
+                       for r in range(got.shape[0]) for c in range(got.shape[1])), (dtype, name)
+
+
+@pytest.mark.parametrize("cu_size", [8, 16, 32])
+def test_cb_activity_of_a_non_integer_plane_is_within_rounding(cu_size):
+    plane = np.random.default_rng(cu_size).random((96, 128)) * 1000.0
+    got = cb_activity(tiles(plane, cu_size))
+    np.testing.assert_allclose(got, _quadrant_var_oracle(plane, cu_size), rtol=1e-12, atol=0)
+
+
+def test_cb_activity_of_one_block_is_a_float_and_of_a_stack_an_array():
+    block = np.arange(256).reshape(16, 16)
+    assert type(cb_activity(block)) is float
+    stack = np.stack([block, block.T, np.zeros((16, 16))])
+    assert cb_activity(stack).tolist() == [cb_activity(b) for b in stack]
 
 
 def test_cu_activities_rejects_a_plane_off_the_grid():
+    for bad in (np.zeros((64, 72)), np.zeros((3, 64, 72)), np.zeros(64)):
+        with pytest.raises(StructuralError):
+            tiles(bad, 16)
     with pytest.raises(StructuralError):
-        cu_activities(np.zeros((64, 72), dtype=np.int64), 16)
-    with pytest.raises(StructuralError):
-        cu_activities(np.zeros((8, 8), dtype=np.int64), 4)
-    with pytest.raises(StructuralError):
-        cu_activities(np.zeros((64, 64)), 16)
+        tiles(np.zeros((64, 64)), 0)
+    # block shapes cb_activity rejects, alone and as a stack
+    for shape in ((9, 9), (4, 4), (8, 16), (10, 10, 8), (2, 3, 12, 16), (8,)):
+        with pytest.raises(StructuralError):
+            cb_activity(np.zeros(shape))

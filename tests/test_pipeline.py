@@ -1,13 +1,18 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spectralpq import frames as frames_mod
+from spectralpq import pipeline
 from spectralpq.corpus import noise_patches, static_gradient
 from spectralpq.entropy import BitWriter
 from spectralpq.errors import ConfigurationError, DecodeError
 from spectralpq.frames import PLANE_ORDER, Frame
 from spectralpq.metrics import sequence_psnr
 from spectralpq.pipeline import (
+    MODES,
     EncoderConfig,
     StreamHeader,
     decode_sequence,
@@ -424,3 +429,31 @@ def test_trailing_data_after_last_frame_rejected():
     assert _decode_error(stream.bitstream + garbage) == (
         f"trailing data after the last frame at bit offset {end}"
     )
+
+
+def test_every_name_the_tracer_wraps_is_bound():
+    # codecbench's tracer wraps functions by name in pipeline and bench; a
+    # renamed or unused import would leave its layer untimed.
+    path = Path(__file__).resolve().parents[1] / "codecbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("codecbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unbound = [(module.__name__, name) for module, name, *_ in tracer.WRAPPED
+               if not callable(getattr(module, name, None))]
+    assert tracer.WRAPPED and not unbound
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_encoder_takes_activity_from_pipeline_cb_activity_once_per_plane(monkeypatch, mode):
+    real, shapes = pipeline.cb_activity, []
+
+    def counted(cb):
+        shapes.append(cb.shape)
+        return real(cb)
+
+    monkeypatch.setattr(pipeline, "cb_activity", counted)
+    frames = _noise_frames(3)
+    result = encode_sequence(frames, EncoderConfig(base_qp=30, mode=mode, gop_length=2,
+                                                   cu_size=16, search_range=2))
+    assert shapes == [(4, 4, 16, 16)] * 3 * len(frames)
+    _assert_master_invariant(result)

@@ -58,10 +58,28 @@ def test_quant_params_validation(qp, n):
             quant_params(qp, n)
 
 
+@pytest.mark.parametrize("qp,n", [(27.0, 4), (True, 4), (27, 4.0), (27, True), ("27", 4),
+                                  (np.float64(27), 8)])
+def test_quant_params_rejects_non_integers(qp, n):
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            quant_params(qp, n)
+
+
+@pytest.mark.parametrize("args", [(99, 32, 8), (-1, 32, 8), (27, 5, 8), (27, 64, 8), (27, 32, 9),
+                                  (27, 32, 12), (27.5, 32, 8), (27.0, 32, 8), (True, 32, 8),
+                                  (27, 32.0, 8), (27, 32, 8.0), (27, 32, True)])
+def test_rdoq_config_validation(args):
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            rdoq_config(*args)
+
+
 def test_quant_params_and_rdoq_config_are_cached():
     assert quant_params(27, 8) is quant_params(27, 8)
     assert rdoq_config(27, 8, 10) is rdoq_config(27, 8, 10)
     assert quant_params(np.int64(27), 8) == quant_params(27, 8)
+    assert rdoq_config(np.int64(27), np.int64(8), np.int64(10)) == rdoq_config(27, 8, 10)
 
 
 def test_urq_worked_examples():
