@@ -15,30 +15,34 @@ from pathlib import Path
 from . import bench as bench_mod
 from .corpus import CorpusSequence, make_corpus
 from .errors import CodecError
-from .frames import CU_SIZES, PLANE_ORDER, load_sequence, save_sequence
+from .frames import BIT_DEPTHS, CU_SIZES, PLANE_ORDER, load_sequence, save_sequence
 from .metrics import quality_report
 from .pipeline import MODES, EncoderConfig, decode_sequence, encode_sequence, stream_header
 from .quantizer import BLOCK_SIZES, quant_params
 from .transform import DST_4X4, dct_matrix
 
 
-def _add_raw_input_args(p):
-    p.add_argument("--input", required=True, help="raw planar GBR file")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--bitdepth", type=int, default=8, choices=(8, 10))
+def _add_raw_input_args(p, required=True, input_help="raw planar GBR file"):
+    p.add_argument("--input", required=required, help=input_help)
+    p.add_argument("--width", type=int, required=required)
+    p.add_argument("--height", type=int, required=required)
+    p.add_argument("--bitdepth", type=int, default=8, choices=BIT_DEPTHS)
     p.add_argument("--frames", type=int, default=None,
                    help="frame count (default: all complete frames)")
 
 
-def _add_encoder_args(p):
-    p.add_argument("--qp", type=int, default=27)
-    p.add_argument("--mode", default="spectral-pq", choices=MODES)
+def _add_coding_args(p):
     p.add_argument("--gop", type=int, default=8)
     p.add_argument("--cu-size", type=int, default=32, choices=CU_SIZES)
     p.add_argument("--search-range", type=int, default=16)
     p.add_argument("--fps", type=int, default=30)
     p.add_argument("--rdoq", default="on", choices=("on", "off"))
+
+
+def _coding_options(args) -> dict:
+    """EncoderConfig fields of _add_coding_args' flags; bench gives --fps to its sequences."""
+    return {"rdoq": args.rdoq == "on", "gop_length": args.gop, "cu_size": args.cu_size,
+            "search_range": args.search_range}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="encode a raw sequence to an SPQ1 stream")
     _add_raw_input_args(enc)
-    _add_encoder_args(enc)
+    enc.add_argument("--qp", type=int, default=27)
+    enc.add_argument("--mode", default="spectral-pq", choices=MODES)
+    _add_coding_args(enc)
     enc.add_argument("--out", required=True)
     enc.add_argument("--csv", help="write per-block perceptual stats CSV")
     enc.add_argument("--motion-csv", help="write per-CU motion CSV")
@@ -62,29 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--out", required=True)
 
     met = sub.add_parser("metrics", help="PSNR/SSIM between two raw sequences")
-    met.add_argument("--input", required=True, help="reference raw file")
+    _add_raw_input_args(met, input_help="reference raw file")
     met.add_argument("--recon", required=True, help="reconstruction raw file")
-    met.add_argument("--width", type=int, required=True)
-    met.add_argument("--height", type=int, required=True)
-    met.add_argument("--bitdepth", type=int, default=8, choices=(8, 10))
-    met.add_argument("--frames", type=int, default=None)
     met.add_argument("--csv", help="write per-frame metric rows")
 
     ben = sub.add_parser("bench", help="sweep modes and QPs, report reductions")
-    ben.add_argument("--input", default=None,
-                     help="raw file (default: built-in synthetic corpus)")
-    ben.add_argument("--width", type=int)
-    ben.add_argument("--height", type=int)
-    ben.add_argument("--bitdepth", type=int, default=8, choices=(8, 10))
-    ben.add_argument("--frames", type=int, default=None)
-    ben.add_argument("--fps", type=int, default=30)
+    _add_raw_input_args(ben, required=False,
+                        input_help="raw file (default: built-in synthetic corpus)")
     ben.add_argument("--qp", type=int, nargs="+", default=[22, 27, 32, 37])
     ben.add_argument("--mode", nargs="+", default=["anchor-flat", "spectral-pq"],
                      choices=MODES)
-    ben.add_argument("--gop", type=int, default=8)
-    ben.add_argument("--cu-size", type=int, default=32, choices=CU_SIZES)
-    ben.add_argument("--search-range", type=int, default=16)
-    ben.add_argument("--rdoq", default="on", choices=("on", "off"))
+    _add_coding_args(ben)
     ben.add_argument("--csv", help="write the experiment table to this path")
     ben.add_argument("--dump-qp-maps", metavar="DIR")
     ben.add_argument("--workers", type=int, default=1)
@@ -113,11 +107,7 @@ def dump_matrices(path) -> None:
 
 def cmd_encode(args) -> int:
     frames = load_sequence(args.input, args.width, args.height, args.bitdepth, args.frames)
-    config = EncoderConfig(
-        base_qp=args.qp, mode=args.mode, rdoq=args.rdoq == "on",
-        gop_length=args.gop, cu_size=args.cu_size,
-        search_range=args.search_range, fps=args.fps,
-    )
+    config = EncoderConfig(base_qp=args.qp, mode=args.mode, fps=args.fps, **_coding_options(args))
     result = encode_sequence(frames, config)
     Path(args.out).write_bytes(result.bitstream)
     if args.csv:
@@ -171,10 +161,9 @@ def cmd_bench(args) -> int:
     else:
         sequences = make_corpus(seed=args.seed)
     rows = bench_mod.run_experiment(
-        sequences, args.qp, list(args.mode),
-        rdoq=args.rdoq == "on", gop_length=args.gop, cu_size=args.cu_size,
-        search_range=args.search_range, workers=args.workers,
+        sequences, args.qp, list(args.mode), workers=args.workers,
         qp_map_dir=Path(args.dump_qp_maps) if args.dump_qp_maps else None,
+        **_coding_options(args),
     )
     text = bench_mod.rows_to_csv(rows)
     if args.csv:

@@ -27,12 +27,9 @@ class CorpusSequence:
     fps: int = 30
 
 
-def _to_frame(planes, bit_depth=8) -> Frame:
-    top = (1 << bit_depth) - 1
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
-    clipped = tuple(np.clip(p, 0, top).astype(dtype) for p in planes)
-    h, w = clipped[0].shape
-    return Frame(w, h, bit_depth, clipped)
+def _to_frame(planes) -> Frame:
+    h, w = planes[0].shape
+    return Frame(w, h, 8, tuple(np.clip(p, 0, 255).astype(np.int64) for p in planes))
 
 
 def _gradients(size, rng):
@@ -83,13 +80,13 @@ def noise_patches(size=64, frame_count=30, seed=2) -> CorpusSequence:
     return CorpusSequence("noise_patches", [frame] * frame_count)
 
 
-def _object_scene(size, obj_size, rng, bg_sigma=10.0, obj_sigma=45.0):
+def _object_scene(size, obj_size, rng):
     background = [
-        128.0 + rng.normal(0.0, bg_sigma, (size, size))
+        128.0 + rng.normal(0.0, 10.0, (size, size))
         + np.linspace(-40.0, 40.0, size)[:, None]
         for _ in range(3)
     ]
-    obj = [rng.normal(0.0, obj_sigma, (obj_size, obj_size)) + 128.0 for _ in range(3)]
+    obj = [rng.normal(0.0, 45.0, (obj_size, obj_size)) + 128.0 for _ in range(3)]
     return background, obj
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, IngestionError, StructuralError
 
 PLANE_ORDER = ("G", "B", "R")
+BIT_DEPTHS = (8, 10)
 DEFAULT_CTU_SIZE = 64    # frames are padded to a multiple of this
 CU_SIZES = (8, 16, 32)
 
@@ -40,7 +41,8 @@ def _store_integers(obj, names) -> None:
 
 @dataclass
 class Frame:
-    """One RGB 4:4:4 picture: equal-sized G, B, R planes."""
+    """One RGB 4:4:4 picture: equal-sized G, B, R planes, stored as uint8 (8-bit)
+    or uint16 (10-bit) whatever integer dtype they were built from."""
 
     width: int
     height: int
@@ -49,7 +51,7 @@ class Frame:
 
     def __post_init__(self):
         _store_integers(self, ("width", "height", "bit_depth"))
-        if self.bit_depth not in (8, 10):
+        if self.bit_depth not in BIT_DEPTHS:
             raise ConfigurationError(f"bit depth must be 8 or 10, got {self.bit_depth}")
         if self.width < 1 or self.height < 1:
             raise ConfigurationError(
@@ -70,6 +72,8 @@ class Frame:
                     f"plane {name} has samples outside [0, {self.max_sample}] "
                     f"for {self.bit_depth}-bit frames"
                 )
+        dtype = _sample_dtype(self.bit_depth)    # cast after the range check: nothing wraps
+        self.planes = tuple(plane.astype(dtype, copy=False) for plane in self.planes)
 
     @property
     def max_sample(self) -> int:
@@ -107,7 +111,8 @@ class BlockTree:
 
 
 def _sample_dtype(bit_depth: int) -> np.dtype:
-    return np.dtype("u1") if bit_depth == 8 else np.dtype("<u2")
+    """The dtype of a sample, in a Frame and in a raw file: uint8, or little-endian uint16."""
+    return np.dtype(np.uint8 if bit_depth == 8 else "<u2")
 
 
 def frame_size_bytes(width: int, height: int, bit_depth: int) -> int:
@@ -132,7 +137,7 @@ def load_sequence(
     for name, value in (("width", width), ("height", height), ("frame_count", frame_count)):
         if not (_is_integer(value) or name == "frame_count" and value is None):
             raise IngestionError(f"{path}: {name} must be an integer, got {value!r}")
-    if not (_is_integer(bit_depth) and bit_depth in (8, 10)):
+    if not (_is_integer(bit_depth) and bit_depth in BIT_DEPTHS):
         raise IngestionError(f"{path}: bit depth must be 8 or 10, got {bit_depth!r}")
     if width < 1 or height < 1:
         raise IngestionError(f"{path}: frame dimensions must be >= 1, got {width}x{height}")
@@ -167,7 +172,7 @@ def save_sequence(path, frames: list[Frame]) -> None:
     with open(path, "wb") as fh:
         for frame in frames:
             for plane in frame.planes:
-                fh.write(np.ascontiguousarray(plane).tobytes())
+                fh.write(plane.astype(_sample_dtype(frame.bit_depth), copy=False).tobytes())
 
 
 def pad_plane(plane: np.ndarray, multiple: int) -> np.ndarray:

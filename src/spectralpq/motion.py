@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .frames import BlockTree, box_sums, tiles
+from .errors import ConfigurationError, StructuralError
+from .frames import BlockTree, _is_integer, box_sums, tiles
 
 SUB_BLOCK = 4    # side of the sub-blocks whose sums bound the SAD
 
@@ -104,14 +105,21 @@ def estimate_mv(
 
     Ties break by smaller magnitude, then smaller vy, then smaller vx.  The
     search is exact, pruned by the sub-block sum bound with the SAD of
-    (0, 0) as its threshold.
+    (0, 0) as its threshold.  A bad search_range or plane dtype raises
+    ConfigurationError, and a block not square or not inside `reference` StructuralError.
     """
+    if not _is_integer(search_range) or search_range < 0:
+        raise ConfigurationError(f"search_range must be an integer >= 0, got {search_range!r}")
+    if not all(np.issubdtype(p.dtype, np.integer) for p in (current, reference)):
+        raise ConfigurationError(f"planes must be integer, got {current.dtype}, {reference.dtype}")
     size = current.shape[0]
     h, w = reference.shape
+    if not (size and current.shape == (size, size) and 0 <= x <= w - size and 0 <= y <= h - size):
+        raise StructuralError(f"block {current.shape} at ({x}, {y}) is not a square block "
+                              f"inside the {reference.shape} reference")
     top, left = max(0, y - search_range), max(0, x - search_range)
     bottom, right = min(h, y + size + search_range), min(w, x + size + search_range)
-    region = reference[top:bottom, left:right]
-    ref = _Reference(region, size)
+    ref = _Reference(reference[top:bottom, left:right], size)
     block = current.astype(np.int32)
     return ref.search(block, ref.block_sums(block), x - left, y - top, search_range)
 

@@ -19,7 +19,8 @@ import numpy as np
 from .entropy import BitReader, BitWriter, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
 from .frames import (
-    CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane, partition, tiles,
+    BIT_DEPTHS, CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane,
+    partition, tiles,
 )
 from .motion import MotionField, MotionVector, estimate_motion_field
 from .perceptual import (
@@ -44,7 +45,7 @@ HEADER_FIELDS = {"width": 16, "height": 16, "bit_depth": 8, "fps": 16,
                  "cu_size": 8, "mode": 8, "base_qp": 8, "frame_count": 16}
 # Checks the decoder makes on a field as soon as it has read it.
 _HEADER_CHECKS = {
-    "bit_depth": (lambda v: v in (8, 10), "unsupported bit depth {}"),
+    "bit_depth": (lambda v: v in BIT_DEPTHS, "unsupported bit depth {}"),
     "cu_size": (lambda v: v in CU_SIZES, "invalid cu_size {}"),
     "mode": (lambda v: v < len(MODES), "unknown mode id {}"),
     "base_qp": (lambda v: v <= QP_MAX, "base_qp {} out of range"),
@@ -211,10 +212,10 @@ def _reconstruct(recon, cu, pred, levels, qps, bit_depth, spec):
     _block(recon, cu)[...] = np.clip(pred + inverse(coeffs, spec), 0, (1 << bit_depth) - 1)
 
 
-def _crop(recon, shape, dtype) -> Frame:
+def _crop(recon, shape) -> Frame:
     """The visible part of a padded picture as a Frame shaped like `shape`."""
-    planes = recon[:, : shape.height, : shape.width].astype(dtype)
-    return Frame(shape.width, shape.height, shape.bit_depth, tuple(planes))
+    return Frame(shape.width, shape.height, shape.bit_depth,
+                 tuple(recon[:, : shape.height, : shape.width]))
 
 
 def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> list:
@@ -307,7 +308,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         stats.frames.append(fstat)
 
         prev_recon = recon
-        recon_frames.append(_crop(recon, frame, frame.planes[0].dtype))
+        recon_frames.append(_crop(recon, frame))
 
     return EncodeResult(writer.getvalue(), stats, recon_frames)
 
@@ -323,7 +324,6 @@ def decode_sequence(data: bytes) -> list:
     bit_depth, cu_size = header.bit_depth, header.cu_size
     tree = partition(header, cu_size)
     spec = make_spec(cu_size, "DCT", bit_depth)
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
 
     frames = []
     prev_recon = None
@@ -349,7 +349,7 @@ def decode_sequence(data: bytes) -> list:
             levels = [decode_block(reader, cu_size) for _ in qps]
             _reconstruct(recon, cu, pred, levels, qps, bit_depth, spec)
         prev_recon = recon
-        frames.append(_crop(recon, header, dtype))
+        frames.append(_crop(recon, header))
     end = reader.tell()
     padding = 8 * len(data) - end
     if padding >= 8 or reader.read_uint(padding):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import LEVEL_LIMIT, level_bits
 from .errors import ConfigurationError
-from .frames import _is_integer
+from .frames import BIT_DEPTHS, _is_integer
 from .transform import coefficient_scale
 
 QP_MIN = 0
@@ -120,7 +120,7 @@ def rdoq_config(qp: int, n: int = 4, bit_depth: int = 8) -> RdoqConfig:
     sample-domain schedule is scaled by that gain squared.
     """
     _check_qp_and_size(qp, n)
-    if not (_is_integer(bit_depth) and bit_depth in (8, 10)):
+    if not (_is_integer(bit_depth) and bit_depth in BIT_DEPTHS):
         raise ConfigurationError(f"bit depth must be 8 or 10, got {bit_depth!r}")
     scale = coefficient_scale(n, bit_depth)
     return RdoqConfig(default_lambda(qp) * scale * scale)

@@ -6,10 +6,12 @@ every channel block of a CU is predicted, transformed, quantized, coded and
 reconstructed on its own.  Its block kernels are the plain int64 and
 Python-int versions: the transforms multiply int64 matrices, the quantizers
 and RDOQ work on signed int64 levels, and encode_block appends each level's
-code to one Python int.  It shares with the library the header codec, the CU
-grid, the basis matrices, the quantizer tables and decode_block, but none of
-the pipeline's prediction or reconstruction helpers and none of its
-transform, quantization or block-writing kernels.
+code to one Python int; decode_block parses each level with read_se.  It
+shares with the library the header codec, the bit reader and writer, the CU
+grid, the basis matrices and the quantizer tables, but none of the
+pipeline's prediction or reconstruction helpers and none of its transform,
+quantization or block-coding kernels.  Its pictures are cropped to uint8
+(8-bit) or uint16 (10-bit) samples.
 
 The encoder side takes each frame's decisions, the CbStat QPs and the
 MotionField, from the library encoder's SequenceStats; the cb and motion
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from spectralpq.entropy import LEVEL_LIMIT, BitReader, BitWriter, decode_block, zigzag_order
+from spectralpq.entropy import LEVEL_LIMIT, BitReader, BitWriter, zigzag_order
 from spectralpq.errors import DecodeError
 from spectralpq.frames import DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, partition
 from spectralpq.motion import MotionVector
@@ -103,6 +105,24 @@ def encode_block(levels, writer):
     return writer.tell() - start
 
 
+def decode_block(reader, n):
+    """The token, then one read_se per level up to the last significant one."""
+    token = reader.read_uint((n * n).bit_length())
+    if token > n * n:
+        raise DecodeError(
+            f"last-significant token {token} exceeds {n * n} at bit offset {reader.tell()}"
+        )
+    levels = np.zeros((n, n), dtype=np.int64)
+    for i, j in zigzag_order(n)[:token]:
+        level = reader.read_se()
+        if abs(level) > LEVEL_LIMIT:
+            raise DecodeError(
+                f"level magnitude {abs(level)} exceeds limit at bit offset {reader.tell()}"
+            )
+        levels[i, j] = level
+    return levels
+
+
 def _pad(plane):
     h, w = plane.shape
     return np.pad(plane, ((0, (-h) % DEFAULT_CTU_SIZE), (0, (-w) % DEFAULT_CTU_SIZE)),
@@ -140,7 +160,8 @@ def _reconstruct_cb(recon_plane, cu, pred, levels, qp, bit_depth, spec):
     _block(recon_plane, cu)[...] = np.clip(pred + residual, 0, (1 << bit_depth) - 1)
 
 
-def _crop(recon, shape, dtype):
+def _crop(recon, shape):
+    dtype = np.uint8 if shape.bit_depth == 8 else np.uint16
     planes = tuple(recon[ch][: shape.height, : shape.width].astype(dtype) for ch in PLANE_ORDER)
     return Frame(shape.width, shape.height, shape.bit_depth, planes)
 
@@ -189,7 +210,7 @@ def reference_encode(frames, config, stats):
                 _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
 
         prev_recon = recon
-        recon_frames.append(_crop(recon, frame, frame.planes[0].dtype))
+        recon_frames.append(_crop(recon, frame))
     return writer.getvalue(), recon_frames
 
 
@@ -200,7 +221,6 @@ def reference_decode(data: bytes) -> list:
     bit_depth, cu_size = header.bit_depth, header.cu_size
     tree = partition(header, cu_size)
     spec = make_spec(cu_size, "DCT", bit_depth)
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
 
     frames = []
     prev_recon = dict.fromkeys(PLANE_ORDER)
@@ -227,5 +247,5 @@ def reference_decode(data: bytes) -> list:
                 levels = decode_block(reader, cu_size)
                 _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
         prev_recon = recon
-        frames.append(_crop(recon, header, dtype))
+        frames.append(_crop(recon, header))
     return frames

@@ -161,6 +161,31 @@ def test_save_load_round_trip_byte_identical(tmp_path, bit_depth):
     assert out.read_bytes() == raw
 
 
+@pytest.mark.parametrize("bit_depth,dtype", [(8, np.int32), (10, np.int64)])
+def test_save_writes_the_raw_layout_whatever_the_source_dtype(tmp_path, bit_depth, dtype):
+    # Frames used to keep their source dtype, and save_sequence wrote it as is:
+    # 4 or 8 bytes a sample, which reloads as several frames of garbage.
+    rng = np.random.default_rng(bit_depth)
+    planes = tuple(rng.integers(0, 1 << bit_depth, (8, 8)).astype(dtype) for _ in range(3))
+    p = tmp_path / "seq.raw"
+    save_sequence(p, [Frame(8, 8, bit_depth, planes)])
+    assert p.stat().st_size == frame_size_bytes(8, 8, bit_depth)
+    (frame,) = load_sequence(p, 8, 8, bit_depth)
+    assert all(np.array_equal(got, want) for got, want in zip(frame.planes, planes))
+
+
+@pytest.mark.parametrize("bit_depth,dtype", [
+    (8, np.uint8), (8, np.int8), (8, np.uint16), (8, np.int32), (8, np.uint64),
+    (10, np.uint16), (10, np.int16), (10, np.int64),
+])
+def test_frame_stores_samples_as_uint8_or_uint16(bit_depth, dtype):
+    top = min((1 << bit_depth) - 1, np.iinfo(dtype).max)
+    plane = (np.arange(64).reshape(8, 8) * top // 63).astype(dtype)
+    frame = Frame(8, 8, bit_depth, (plane, plane, plane))
+    want = np.uint8 if bit_depth == 8 else np.uint16
+    assert all(p.dtype == want and np.array_equal(p, plane) for p in frame.planes)
+
+
 def test_frame_count_default_reads_whole_frames(tmp_path):
     p = tmp_path / "seq.raw"
     p.write_bytes(bytes(12 * 2 + 5))  # two complete frames plus garbage tail

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectralpq.errors import ConfigurationError, StructuralError
 from spectralpq.frames import BlockTree, Frame, box_sums, partition
 from spectralpq.motion import (
     MotionVector,
@@ -168,3 +169,38 @@ def test_block_sums_equal_strided_box_sums(size):
             got = ref.block_sums(block)
             assert got.dtype == np.int32
             assert np.array_equal(got, old)
+
+
+def _mv_args():
+    rng = np.random.default_rng(9)
+    reference = rng.integers(0, 256, (32, 32)).astype(np.uint8)
+    return reference[8:16, 8:16], reference
+
+
+@pytest.mark.parametrize("search_range", [-1, 2.0, True, None])
+def test_estimate_mv_rejects_bad_search_range(search_range):
+    block, reference = _mv_args()
+    with pytest.raises(ConfigurationError, match="search_range"):
+        estimate_mv(block, reference, 8, 8, search_range)
+
+
+def test_estimate_mv_rejects_non_integer_planes():
+    block, reference = _mv_args()
+    with pytest.raises(ConfigurationError, match="integer"):
+        estimate_mv(block.astype(np.float64), reference, 8, 8, 4)
+    with pytest.raises(ConfigurationError, match="integer"):
+        estimate_mv(block, reference.astype(np.float32), 8, 8, 4)
+
+
+def test_estimate_mv_rejects_a_block_that_is_not_square():
+    _, reference = _mv_args()
+    with pytest.raises(StructuralError, match="not a square block"):
+        estimate_mv(reference[8:24, 8:16], reference, 8, 8, 4)
+
+
+@pytest.mark.parametrize("x,y", [(-4, 8), (8, -1), (25, 8), (8, 25), (28, 28)])
+def test_estimate_mv_rejects_a_block_outside_the_reference(x, y):
+    block, reference = _mv_args()
+    with pytest.raises(StructuralError, match="inside"):
+        estimate_mv(block, reference, x, y, 4)
+    assert estimate_mv(block, reference, 8, 8, 4) == MotionVector(0, 0)

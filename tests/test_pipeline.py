@@ -43,7 +43,9 @@ def _assert_master_invariant(result):
     decoded = decode_sequence(result.bitstream)
     assert len(decoded) == len(result.reconstruction)
     for dec, rec in zip(decoded, result.reconstruction):
+        dtype = np.uint8 if rec.bit_depth == 8 else np.uint16
         for ch in PLANE_ORDER:
+            assert dec.plane(ch).dtype == rec.plane(ch).dtype == dtype
             assert np.array_equal(dec.plane(ch), rec.plane(ch))
 
 
@@ -114,6 +116,25 @@ def test_ten_bit_end_to_end():
     result = encode_sequence(frames, EncoderConfig(base_qp=27))
     _assert_master_invariant(result)
     assert decode_sequence(result.bitstream)[0].bit_depth == 10
+
+
+@pytest.mark.parametrize("qp", [30, 45, 51])
+def test_ten_bit_frame_of_uint8_planes_decodes_as_reconstructed(qp):
+    # Reconstructed samples above 255 used to wrap mod 256 in the uint8 source dtype.
+    rng = np.random.default_rng(qp)
+    planes = tuple(rng.choice(np.array([0, 255], np.uint8), (64, 64)) for _ in range(3))
+    result = encode_sequence([Frame(64, 64, 10, planes)], EncoderConfig(base_qp=qp))
+    _assert_master_invariant(result)
+
+
+def test_eight_bit_frames_of_int8_planes_encode():
+    # Reconstructed samples above 127 used to wrap in the int8 source dtype,
+    # and the wrapped Frame raised ConfigurationError after the first frame.
+    rng = np.random.default_rng(8)
+    frames = [Frame(64, 64, 8, tuple(rng.choice(np.array([0, 127], np.int8), (64, 64))
+                                     for _ in range(3))) for _ in range(2)]
+    result = encode_sequence(frames, EncoderConfig(base_qp=37))
+    _assert_master_invariant(result)
 
 
 def test_rate_monotone_in_qp():

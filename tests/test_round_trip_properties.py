@@ -1,7 +1,7 @@
 """Property tests of the master invariant on random clips and settings.
 
-Each example draws a clip (size, bit depth, 1-3 frames) and an encoder
-configuration, then checks that the decoder reproduces the encoder's
+Each example draws a clip (size, bit depth, plane dtype, 1-3 frames) and an
+encoder configuration, then checks that the decoder reproduces the encoder's
 reconstruction, that the header carries the configuration, and that a
 truncated or bit-flipped stream raises nothing but DecodeError.
 """
@@ -22,14 +22,20 @@ from spectralpq.pipeline import (
 )
 
 
+# The integer dtypes that hold every sample of each bit depth.
+PLANE_DTYPES = {8: (np.uint8, np.uint16, np.int16, np.int32, np.int64),
+                10: (np.uint16, np.int16, np.int32, np.int64)}
+
+
 @st.composite
 def clips(draw):
-    """1-3 frames of random samples; each later frame is the previous one
-    shifted by a few samples, so inter CUs find real motion."""
+    """1-3 frames of random samples in a random integer dtype; each later
+    frame is the previous one shifted by a few samples, so inter CUs find
+    real motion."""
     width, height = draw(st.integers(1, 96)), draw(st.integers(1, 96))
     bit_depth = draw(st.sampled_from((8, 10)))
+    dtype = draw(st.sampled_from(PLANE_DTYPES[bit_depth]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
     planes = rng.integers(0, 1 << bit_depth, (3, height, width)).astype(dtype)
     frames = [Frame(width, height, bit_depth, tuple(planes))]
     for _ in range(draw(st.integers(1, 3)) - 1):
