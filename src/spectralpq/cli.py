@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -159,7 +160,7 @@ def cmd_bench(args) -> int:
         frames = load_sequence(args.input, args.width, args.height, args.bitdepth, args.frames)
         sequences = [CorpusSequence(Path(args.input).stem, frames, args.fps)]
     else:
-        sequences = make_corpus(seed=args.seed)
+        sequences = [replace(seq, fps=args.fps) for seq in make_corpus(seed=args.seed)]
     rows = bench_mod.run_experiment(
         sequences, args.qp, list(args.mode), workers=args.workers,
         qp_map_dir=Path(args.dump_qp_maps) if args.dump_qp_maps else None,

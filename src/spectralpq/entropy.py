@@ -18,6 +18,7 @@ from .errors import DecodeError, EncodeError
 LEVEL_LIMIT = 1 << 15
 MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
 _MAX_CODE_BITS = 2 * MAX_PREFIX_ZEROS + 1
+WINDOW_BITS = 1 << 14   # widest level window; its 11 jump tables take 1.4 MiB
 
 
 class BitWriter:
@@ -116,75 +117,195 @@ class BitReader:
 
         Values, final position and every DecodeError, text and bit offset,
         are those of a read_se loop that checks each level against
-        LEVEL_LIMIT.  Codes are parsed a window at a time through a jump
-        table; a code no window can take is malformed, and read_se raises
+        LEVEL_LIMIT.  Codes are taken a window at a time through its
+        tables; a code no window can take is malformed, and read_se raises
         its error.
         """
         parts = [np.zeros(0, dtype=np.int64)]
         while count:
             pos = self._pos
-            # Room for one longest code, so a window that takes no code
-            # means the code at pos is malformed.
-            width = min(self._total - pos, 3 * count + _MAX_CODE_BITS)
-            ends, levels = self._parse_window(pos, width, count)
-            if not len(ends):
+            # The rest of the stream, capped, and no more than `count`
+            # longest codes need: room for one longest code at least, so a
+            # window that takes no code means the code at pos is malformed.
+            width = min(self._total - pos, WINDOW_BITS, count * _MAX_CODE_BITS)
+            window = _Window(self._data, pos, width)
+            taken = window.skip(0, count)[1]
+            if not taken:
                 break
-            bad = np.flatnonzero(np.abs(levels) > LEVEL_LIMIT)
-            if bad.size:
-                self._pos = pos + int(ends[bad[0]])
+            _, ends, levels = window.levels([0], [taken])
+            ok = _count_within_limit(levels)
+            self._pos = pos + int(ends[min(ok, taken - 1)])
+            if ok < taken:
                 raise DecodeError(
-                    f"level magnitude {abs(int(levels[bad[0]]))} exceeds limit "
+                    f"level magnitude {abs(int(levels[ok]))} exceeds limit "
                     f"at bit offset {self._pos}"
                 )
-            self._pos = pos + int(ends[-1])
             parts.append(levels)
-            count -= len(levels)
+            count -= taken
         if count:
             self.read_se()
             raise AssertionError(f"read_se took a code at bit offset {pos} that no window took")
         return np.concatenate(parts)
 
-    def _parse_window(self, pos: int, width: int, count: int):
-        """End offsets (relative to pos) and signed values of the first
-        codes, at most `count`, that lie wholly in bits [pos, pos + width)
-        and have at most MAX_PREFIX_ZEROS leading zeros."""
-        # The window's bytes, zero-padded so that 8 bytes follow each.
-        chunk = self._data[pos >> 3 : (pos + width + 7) >> 3] + bytes(8)
-        chunk = np.frombuffer(chunk, dtype=np.uint8)
-        shift = pos & 7
-        bits = np.unpackbits(chunk)[shift : shift + width]
+
+class _Window:
+    """Code tables over the bits [start, start + width) of a stream.
+
+    A code is taken when it lies wholly in the window and has at most
+    MAX_PREFIX_ZEROS leading zeros.  The k-th jump table maps a position
+    to the end of the 2^k-th taken code from there (binary lifting), and
+    width + 1 stands for "no such code" and maps to itself; a table is
+    built on first use, from the one before it.
+    """
+
+    def __init__(self, data: bytes, start: int, width: int):
+        # The window's bytes, zero-padded to whole 8-byte words and one more.
+        chunk = data[start >> 3 : (start + width + 7) >> 3]
+        chunk = np.frombuffer(chunk + bytes(8 + -len(chunk) % 8), dtype=np.uint8)
+        bits = np.empty(width + 1, dtype=np.uint8)
+        bits[:width] = np.unpackbits(chunk)[start & 7 : (start & 7) + width]
+        bits[width] = 1
         p = np.arange(width + 1)
         # next_one[p]: the first 1-bit at or after p, with a 1-bit appended
         # at `width` so that every entry is an index of the window.
-        next_one = np.where(np.append(bits, 1), p, width)
+        next_one = p + (bits ^ 1) * (width - p)   # p at a 1-bit, else width
         next_one = np.minimum.accumulate(next_one[::-1])[::-1]
-        code_end = 2 * next_one - p + 1
-        takes = (next_one - p <= MAX_PREFIX_ZEROS) & (code_end <= width)
-        # jump[p]: where the next code starts if one starts at p; width + 1
-        # stands for "no code" and maps to itself.
-        jump = np.append(np.where(takes, code_end, width + 1), width + 1)
-        # chain[i] = jump^i(0) by pointer doubling: while jump is
-        # jump^filled, it maps chain[:filled] onto the next `filled` entries.
-        chain = np.zeros(count + 1, dtype=np.intp)
-        filled = 1
-        while True:
-            step = min(filled, count + 1 - filled)
-            chain[filled : filled + step] = jump[chain[:step]]
-            filled += step
-            if filled > count:
-                break
-            jump = jump[jump]
-        taken = int(np.count_nonzero(chain[1:] <= width))
-        ends = chain[1 : taken + 1]
+        # jump[p]: where a code that starts at p ends, or width + 1.
+        jump = np.empty(width + 2, dtype=np.intp)
+        jump[-1] = width + 1
+        code_end = jump[:-1]
+        np.subtract(2 * next_one + 1, p, out=code_end)
+        code_end[(next_one - p > MAX_PREFIX_ZEROS) | (code_end > width)] = width + 1
+        # words[b]: the bits of the 64-bit big-endian word at byte b.
+        words = np.empty((len(chunk) // 8 - 1, 8), dtype=np.int64)
+        for b in range(8):
+            words[:, b] = np.frombuffer(chunk, ">u8", len(words), b)
+        self.start, self.width = start, width
+        self._shift, self._words = start & 7, words.ravel()
+        self._jumps = [jump]
+
+    def _jump(self, k: int) -> np.ndarray:
+        jumps = self._jumps
+        while len(jumps) <= k:
+            jumps.append(jumps[-1].take(jumps[-1]))
+        return jumps[k]
+
+    def skip(self, p: int, count: int) -> tuple[int, int]:
+        """(end, taken): the most codes from p, at most `count`, that the
+        window takes, and where the last of them ends; one lookup per bit
+        of `count`."""
+        taken = 0
+        for k in reversed(range(count.bit_length())):
+            if taken + (1 << k) <= count:
+                q = self._jump(k).item(p)
+                if q <= self.width:
+                    p, taken = q, taken + (1 << k)
+        return p, taken
+
+    def levels(self, starts, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The codes of a run of blocks, `counts[b]` codes from `starts[b]`,
+        all of which the window takes: a (blocks, w) mask of the codes in a
+        table of w >= max(counts) columns, and each code's end offset and
+        signed value, block by block in stream order."""
+        counts = np.asarray(counts)
+        width = 1 << int(counts.max() - 1).bit_length()
+        # chain[b, i] = jump^i(starts[b]), its columns filled by doubling.
+        chain = np.empty((len(counts), width), dtype=np.intp)
+        chain[:, 0] = starts
+        for k in range(width.bit_length() - 1):
+            chain[:, 1 << k : 2 << k] = self._jump(k).take(chain[:, : 1 << k])
+        mask = np.arange(width) < counts[:, None]
+        code = chain[mask]
+        ends = self._jumps[0].take(code)
         # A code's value + 1 is its bits from the first 1-bit to its end, at
-        # most 33 bits, so the 64-bit big-endian word from the byte holding
-        # that 1-bit contains them.
-        one = next_one[chain[:taken]]
-        first, nbits = shift + one, ends - one
-        words = np.lib.stride_tricks.sliding_window_view(chunk, 8)[first >> 3]
-        words = words.view(">u8").ravel().astype(np.int64)
-        ue = ((words >> (64 - (first & 7) - nbits)) & ((1 << nbits) - 1)) - 1
-        return ends, np.where(ue & 1, (ue + 1) >> 1, -(ue >> 1))
+        # most 33 bits, so the 64-bit word from the byte holding that 1-bit
+        # contains them.  The 1-bit is halfway between the code's start and
+        # its end, less one.
+        one = (code + ends - 1) >> 1
+        first, nbits = self._shift + one, ends - one
+        words = self._words.take(first >> 3)
+        plus1 = (words >> (64 - (first & 7) - nbits)) & ((1 << nbits) - 1)
+        # value + 1 = 2k for level +k and 2k + 1 for level -k
+        return mask, ends, np.where(plus1 & 1, -(plus1 >> 1), plus1 >> 1)
+
+
+class BlockParser:
+    """Reads coded n x n blocks, in stream order, into rows of level stacks.
+
+    read() takes a block's token with the reader and skips its levels by
+    binary lifting in the current window, or in a fresh one that starts at
+    the block's first level.  The levels of a window's blocks are extracted
+    together, when the parse leaves the window or at flush().  A caller
+    that raises a fault of its own calls flush() first: a level over the
+    limit in an earlier block is the first error in stream order.
+    """
+
+    def __init__(self, reader: BitReader, n: int):
+        self._reader, self._n = reader, n
+        self._window = None
+        self._out = None
+        self._pending = ([], [], [])    # starts in the window, counts, rows
+
+    def read(self, out: np.ndarray, row: int) -> bool:
+        """Parse one block, whose levels go to out[row], a zero row of n*n
+        levels in raster order, by the next flush().  False, with the reader
+        back at the block's token, when the tables cannot take the block (a
+        token over n*n, a malformed code, a code past the end, or a block
+        longer than a window); decode_block must then parse it."""
+        reader, n = self._reader, self._n
+        start = reader.tell()
+        token = reader.read_uint(_token_bits(n))
+        if token > n * n:
+            reader._pos = start
+            return False
+        if not token:
+            return True
+        pos = reader.tell()
+        window = self._window
+        end = taken = 0
+        if window is not None and window.start <= pos < window.start + window.width:
+            end, taken = window.skip(pos - window.start, token)
+        if taken < token and (window is None or window.start != pos):
+            self.flush()
+            window = self._window = _Window(reader._data, pos,
+                                            min(reader._total - pos, WINDOW_BITS))
+            end, taken = window.skip(0, token)
+        if taken < token:
+            reader._pos = start
+            return False
+        if out is not self._out:
+            self.flush()
+            self._out = out
+        starts, counts, rows = self._pending
+        starts.append(pos - window.start)
+        counts.append(token)
+        rows.append(row)
+        reader._pos = window.start + end
+        return True
+
+    def flush(self) -> None:
+        """Extract the levels of every block read so far, in one step, into
+        their rows; a level over LEVEL_LIMIT raises the DecodeError that a
+        code-by-code parse would."""
+        starts, counts, rows = self._pending
+        if not starts:
+            return
+        self._pending = ([], [], [])
+        mask, ends, levels = self._window.levels(starts, counts)
+        ok = _count_within_limit(levels)
+        if ok < len(levels):
+            raise DecodeError(
+                f"level magnitude {abs(int(levels[ok]))} exceeds limit "
+                f"at bit offset {self._window.start + int(ends[ok])}"
+            )
+        flat = np.asarray(rows)[:, None] * self._n ** 2 + _zigzag_flat(self._n)[: mask.shape[1]]
+        np.put(self._out, flat[mask], levels)
+
+
+def _count_within_limit(levels: np.ndarray) -> int:
+    """The number of leading levels of magnitude at most LEVEL_LIMIT."""
+    over = np.flatnonzero(np.abs(levels) > LEVEL_LIMIT)
+    return int(over[0]) if over.size else len(levels)
 
 
 def level_bits(levels):

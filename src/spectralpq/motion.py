@@ -105,9 +105,12 @@ def estimate_mv(
 
     Ties break by smaller magnitude, then smaller vy, then smaller vx.  The
     search is exact, pruned by the sub-block sum bound with the SAD of
-    (0, 0) as its threshold.  A bad search_range or plane dtype raises
-    ConfigurationError, and a block not square or not inside `reference` StructuralError.
+    (0, 0) as its threshold.  A non-integer position, a bad search_range or
+    plane dtype raises ConfigurationError, and a block not square or not
+    inside `reference` StructuralError.
     """
+    if not (_is_integer(x) and _is_integer(y)):
+        raise ConfigurationError(f"block position must be integers, got ({x!r}, {y!r})")
     if not _is_integer(search_range) or search_range < 0:
         raise ConfigurationError(f"search_range must be an integer >= 0, got {search_range!r}")
     if not all(np.issubdtype(p.dtype, np.integer) for p in (current, reference)):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import BitReader, BitWriter, decode_block, encode_block
+from .entropy import BitReader, BitWriter, BlockParser, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
 from .frames import (
     BIT_DEPTHS, CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane,
@@ -39,6 +39,7 @@ MODES = ("anchor-flat", "anchor-adaptiveqp", "spectral-pq")
 QP_FIELD_BITS = 6
 MAX_FRAME_SAMPLES = 1 << 26    # cap on width * height, checked on encode and decode
 PLANE_DTYPE = np.int32         # padded pictures; residual and transform arithmetic is int64
+RECONSTRUCT_LEVELS = 1 << 18   # levels the decoder reconstructs per batch of a frame's CUs
 
 # Header fields after the magic, in stream order, with their widths in bits.
 HEADER_FIELDS = {"width": 16, "height": 16, "bit_depth": 8, "fps": 16,
@@ -206,10 +207,26 @@ def _predict(recon, prev, cu, mv: Optional[MotionVector], bit_depth):
     return prev[..., y : y + cu.size, x : x + cu.size]
 
 
-def _reconstruct(recon, cu, pred, levels, qps, bit_depth, spec):
-    """Decode a CU's levels blocks onto its prediction stack and store the result at the CU."""
-    coeffs = np.stack([urq_dequantize(lv, qp, cu.size) for lv, qp in zip(levels, qps)])
-    _block(recon, cu)[...] = np.clip(pred + inverse(coeffs, spec), 0, (1 << bit_depth) - 1)
+def _reconstruct(recon, cus, pred, levels, qps, bit_depth, spec):
+    """Decode a batch of CUs onto `recon`: their (K, 3, n, n) levels are
+    dequantized with one call per distinct QP of the (K, 3) `qps` and
+    inverse transformed in one call, then each CU's prediction is added and
+    the clipped result stored at the CU.  `pred` is the batch's prediction
+    stack, or None to DC-predict the CUs in order, each from the ones
+    stored before it."""
+    coeffs = np.empty(levels.shape, dtype=np.int64)
+    for qp in set(qps.ravel().tolist()):
+        sel = qps == qp
+        coeffs[sel] = urq_dequantize(levels[sel], qp, spec.size)
+    residual = inverse(coeffs, spec)
+    top = (1 << bit_depth) - 1
+    if pred is not None:
+        residual = np.clip(pred + residual, 0, top)
+    for cu, block in zip(cus, residual):
+        if pred is None:
+            block = np.clip(intra_predict_dc(recon, cu.x, cu.y, cu.size, bit_depth) + block,
+                            0, top)
+        _block(recon, cu)[...] = block
 
 
 def _crop(recon, shape) -> Frame:
@@ -302,7 +319,8 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
                     levels.append(urq_quantize(coeffs, cb.qp, config.cu_size))
                 nbits = encode_block(levels[-1], writer)
                 fstat.bits_channel[cb.channel] = fstat.bits_channel.get(cb.channel, 0) + nbits
-            _reconstruct(recon, cu, pred, levels, [cb.qp for cb in cu_cbs], bit_depth, spec)
+            _reconstruct(recon, [cu], pred[None], np.stack(levels)[None],
+                         np.array([[cb.qp for cb in cu_cbs]]), bit_depth, spec)
 
         fstat.bits_total = writer.tell() - frame_start
         stats.frames.append(fstat)
@@ -311,6 +329,43 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         recon_frames.append(_crop(recon, frame))
 
     return EncodeResult(writer.getvalue(), stats, recon_frames)
+
+
+def _read_frame(reader, stream_bits, parser, tree, prev_recon):
+    """Parse a frame's CUs after its type bit: the CUs, their motion-compensated
+    predictions from `prev_recon` (None for an intra frame), their
+    (K, 3, n, n) levels and (K, 3) QPs.  Levels wait in `parser` until its
+    flush(), which follows the frame's last CU."""
+    n, size = len(PLANE_ORDER), tree.cu_size
+    # Each CU takes at least its QP fields, so the level stack needs no more
+    # CUs than the rest of the stream can hold.
+    cus_left = 1 + (stream_bits - reader.tell()) // (n * QP_FIELD_BITS)
+    rows, cols = tree.grid_shape
+    levels = np.zeros((min(rows * cols, cus_left) * n, size * size), dtype=np.int32)
+    cus, qps = [], []
+    pred = None if prev_recon is None else []
+    for cu in tree:
+        cu_qps = []
+        for _ in PLANE_ORDER:
+            qp = reader.read_uint(QP_FIELD_BITS)
+            if qp > QP_MAX:
+                raise DecodeError(f"qp {qp} out of range at bit offset {reader.tell()}")
+            cu_qps.append(qp)
+        if pred is not None:
+            mv = MotionVector(reader.read_se(), reader.read_se())
+            if not (0 <= cu.x + mv.vx <= tree.width - size
+                    and 0 <= cu.y + mv.vy <= tree.height - size):
+                raise DecodeError(
+                    f"motion vector ({mv.vx}, {mv.vy}) leaves the frame at CU ({cu.x}, {cu.y})"
+                )
+            pred.append(_predict(None, prev_recon, cu, mv, None))
+        for row in range(n * len(cus), n * len(cus) + n):
+            if not parser.read(levels, row):
+                levels[row] = decode_block(reader, size).ravel()
+        cus.append(cu)
+        qps.append(cu_qps)
+    parser.flush()
+    return cus, pred, levels.reshape(-1, n, size, size), np.array(qps)
 
 
 def decode_sequence(data: bytes) -> list:
@@ -325,31 +380,27 @@ def decode_sequence(data: bytes) -> list:
     tree = partition(header, cu_size)
     spec = make_spec(cu_size, "DCT", bit_depth)
 
+    parser = BlockParser(reader, cu_size)
+    batch = max(1, RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * cu_size * cu_size))
     frames = []
     prev_recon = None
-    for idx in range(header.frame_count):
-        inter = reader.read_uint(1)
-        if inter and idx == 0:
-            raise DecodeError(f"frame {idx} is inter but no reference exists")
-        recon = np.zeros((len(PLANE_ORDER), tree.height, tree.width), dtype=PLANE_DTYPE)
-        for cu in tree:
-            qps = []
-            for _ in PLANE_ORDER:
-                qp = reader.read_uint(QP_FIELD_BITS)
-                if qp > QP_MAX:
-                    raise DecodeError(f"qp {qp} out of range at bit offset {reader.tell()}")
-                qps.append(qp)
-            mv = MotionVector(reader.read_se(), reader.read_se()) if inter else None
-            if inter and not (0 <= cu.x + mv.vx <= tree.width - cu_size
-                              and 0 <= cu.y + mv.vy <= tree.height - cu_size):
-                raise DecodeError(
-                    f"motion vector ({mv.vx}, {mv.vy}) leaves the frame at CU ({cu.x}, {cu.y})"
-                )
-            pred = _predict(recon, prev_recon, cu, mv, bit_depth)
-            levels = [decode_block(reader, cu_size) for _ in qps]
-            _reconstruct(recon, cu, pred, levels, qps, bit_depth, spec)
-        prev_recon = recon
-        frames.append(_crop(recon, header))
+    try:
+        for idx in range(header.frame_count):
+            inter = reader.read_uint(1)
+            if inter and idx == 0:
+                raise DecodeError(f"frame {idx} is inter but no reference exists")
+            cus, pred, levels, qps = _read_frame(reader, 8 * len(data), parser, tree,
+                                                 prev_recon if inter else None)
+            recon = np.zeros((len(PLANE_ORDER), tree.height, tree.width), dtype=PLANE_DTYPE)
+            for k in range(0, len(cus), batch):
+                part = slice(k, k + batch)
+                _reconstruct(recon, cus[part], None if pred is None else np.stack(pred[part]),
+                             levels[part], qps[part], bit_depth, spec)
+            prev_recon = recon
+            frames.append(_crop(recon, header))
+    except DecodeError:
+        parser.flush()  # a level over the limit earlier in the stream is the first error
+        raise
     end = reader.tell()
     padding = 8 * len(data) - end
     if padding >= 8 or reader.read_uint(padding):

@@ -248,4 +248,7 @@ def reference_decode(data: bytes) -> list:
                 _reconstruct_cb(recon[ch], cu, pred, levels, qp, bit_depth, spec)
         prev_recon = recon
         frames.append(_crop(recon, header))
+    end = reader.tell()
+    if 8 * len(data) - end >= 8 or any(reader.read_uint(1) for _ in range(8 * len(data) - end)):
+        raise DecodeError(f"trailing data after the last frame at bit offset {end}")
     return frames

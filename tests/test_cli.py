@@ -1,7 +1,11 @@
+import csv
+from dataclasses import replace
+
 import pytest
 
+from spectralpq import cli
 from spectralpq.cli import main
-from spectralpq.corpus import noise_patches
+from spectralpq.corpus import make_corpus, noise_patches
 from spectralpq.frames import load_sequence, save_sequence
 from spectralpq.pipeline import stream_header
 
@@ -67,6 +71,24 @@ def test_bench_on_raw_file(tmp_path, raw_clip, capsys):
     assert len(lines) == 3
     assert lines[0].startswith("sequence,mode,qp,kbps")
     assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def test_bench_fps_sets_the_rate_of_the_built_in_corpus(tmp_path, monkeypatch):
+    # Two short clips of the built-in corpus, at its default 30 fps: the kbps
+    # column must follow --fps.
+    monkeypatch.setattr(cli, "make_corpus", lambda seed: [
+        replace(seq, frames=seq.frames[:2]) for seq in make_corpus(seed)[:2]
+    ])
+    kbps = {}
+    for fps in (30, 60):
+        csv_path = tmp_path / f"bench-{fps}.csv"
+        assert main(["bench", "--qp", "37", "--mode", "anchor-flat", "--fps", str(fps),
+                     "--csv", str(csv_path)]) == 0
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert len(rows) == 2 and all(row["status"] == "ok" for row in rows)
+        kbps[fps] = [float(row["kbps"]) for row in rows]
+    assert all(k > 0 for k in kbps[30])
+    assert kbps[60] == pytest.approx([2 * k for k in kbps[30]], rel=1e-3)
 
 
 def test_dump_flags(tmp_path):

@@ -4,9 +4,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_codec
-from spectralpq import pipeline
+from spectralpq import entropy
 from spectralpq.entropy import (
     LEVEL_LIMIT,
+    WINDOW_BITS,
     BitReader,
     BitWriter,
     _token_bits,
@@ -364,11 +365,38 @@ def _clip_stream() -> bytes:
 _CLIP = _clip_stream()
 
 
-def _decode_outcome(data: bytes):
+def _noise_stream(cu_size: int) -> bytes:
+    """One 128x128 noise frame at QP 4: its levels span several windows."""
+    planes = np.random.default_rng(43).integers(0, 256, (3, 128, 128)).astype(np.uint8)
+    frame = Frame(128, 128, 8, tuple(planes))
+    return encode_sequence([frame], EncoderConfig(base_qp=4, cu_size=cu_size)).bitstream
+
+
+_NOISE = {cu_size: _noise_stream(cu_size) for cu_size in (8, 32)}
+
+
+def _decode_outcome(decode, data: bytes):
     try:
-        return [f.planes for f in decode_sequence(data)]
+        return [f.planes for f in decode(data)]
     except DecodeError as exc:
         return str(exc)
+
+
+def _assert_decodes_as_reference(data: bytes, offset: int, kind: str, run: int):
+    """Damage `data` from bit `offset` (one bit flipped, or `run` bits
+    zeroed); the decoder must fail as the code-by-code reference decoder
+    does, or give the same frames."""
+    bits = list(f"{int.from_bytes(data, 'big'):0{8 * len(data)}b}")
+    for i in range(offset, min(offset + (1 if kind == "flip" else run), len(bits))):
+        bits[i] = "0" if kind == "zeros" else "10"[int(bits[i])]
+    data = _bytes_of("".join(bits))
+    fast = _decode_outcome(decode_sequence, data)
+    scalar = _decode_outcome(reference_codec.reference_decode, data)
+    if isinstance(scalar, str):
+        assert fast == scalar
+    else:
+        assert not isinstance(fast, str)
+        assert all(np.array_equal(a, b) for fa, fb in zip(fast, scalar) for a, b in zip(fa, fb))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -378,16 +406,46 @@ def _decode_outcome(data: bytes):
     st.integers(1, 80),
 )
 def test_mangled_stream_decodes_as_with_scalar_parse(offset, kind, run):
-    bits = list(f"{int.from_bytes(_CLIP, 'big'):0{8 * len(_CLIP)}b}")
-    for i in range(offset, min(offset + (1 if kind == "flip" else run), len(bits))):
-        bits[i] = "0" if kind == "zeros" else "10"[int(bits[i])]
-    data = _bytes_of("".join(bits))
-    fast = _decode_outcome(data)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "decode_block", _reference_decode_block)
-        scalar = _decode_outcome(data)
-    if isinstance(scalar, str):
-        assert fast == scalar
-    else:
-        assert not isinstance(fast, str)
-        assert all(np.array_equal(a, b) for fa, fb in zip(fast, scalar) for a, b in zip(fa, fb))
+    _assert_decodes_as_reference(_CLIP, offset, kind, run)
+
+
+@pytest.mark.parametrize("cu_size", sorted(_NOISE))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mangled_multi_window_stream_decodes_as_with_scalar_parse(cu_size, data):
+    stream = _NOISE[cu_size]
+    assert 8 * len(stream) > 4 * WINDOW_BITS
+    _assert_decodes_as_reference(
+        stream,
+        data.draw(st.integers(128, 8 * len(stream) - 1), label="offset"),
+        data.draw(st.sampled_from(["flip", "zeros"]), label="kind"),
+        data.draw(st.integers(1, 80), label="run"),
+    )
+
+
+@pytest.mark.parametrize("cu_size", sorted(_NOISE))
+def test_level_windows_start_at_blocks_and_stay_within_the_cap(monkeypatch, cu_size):
+    stream = _NOISE[cu_size]
+    level_starts = []
+    reference_block = reference_codec.decode_block
+
+    def recording_block(reader, n):
+        level_starts.append(reader.tell() + _token_bits(n))
+        return reference_block(reader, n)
+
+    monkeypatch.setattr(reference_codec, "decode_block", recording_block)
+    want = reference_codec.reference_decode(stream)
+    windows = []
+    real_window = entropy._Window.__init__
+
+    def recording_window(self, data, start, width):
+        windows.append((start, width))
+        real_window(self, data, start, width)
+
+    monkeypatch.setattr(entropy._Window, "__init__", recording_window)
+    got = decode_sequence(stream)
+    assert all(np.array_equal(a, b) for fa, fb in zip(got, want)
+               for a, b in zip(fa.planes, fb.planes))
+    assert len(windows) > 4
+    assert {start for start, _ in windows} <= set(level_starts)
+    assert all(width <= min(8 * len(stream) - start, WINDOW_BITS) for start, width in windows)

@@ -184,6 +184,20 @@ def test_estimate_mv_rejects_bad_search_range(search_range):
         estimate_mv(block, reference, 8, 8, search_range)
 
 
+@pytest.mark.parametrize("x,y", [(8.0, 8), (8, np.float64(8)), (True, 8), (8, False), (None, 8)])
+def test_estimate_mv_rejects_a_non_integer_position(x, y):
+    block, reference = _mv_args()
+    with pytest.raises(ConfigurationError, match="block position must be integers"):
+        estimate_mv(block, reference, x, y, 4)
+
+
+def test_estimate_mv_accepts_a_numpy_integer_position():
+    block, reference = _mv_args()
+    assert estimate_mv(block, reference, np.int64(8), np.int32(8), 4) == estimate_mv(
+        block, reference, 8, 8, 4
+    )
+
+
 def test_estimate_mv_rejects_non_integer_planes():
     block, reference = _mv_args()
     with pytest.raises(ConfigurationError, match="integer"):

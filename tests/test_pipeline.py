@@ -7,7 +7,8 @@ import pytest
 from spectralpq import frames as frames_mod
 from spectralpq import pipeline
 from spectralpq.corpus import noise_patches, static_gradient
-from spectralpq.entropy import BitWriter
+from reference_codec import reference_decode
+from spectralpq.entropy import LEVEL_LIMIT, BitWriter
 from spectralpq.errors import ConfigurationError, DecodeError
 from spectralpq.frames import PLANE_ORDER, Frame
 from spectralpq.metrics import sequence_psnr
@@ -433,6 +434,66 @@ def test_motion_vector_prefix_past_stream_end_is_truncation():
     writer.write_uint(1, 10)
     assert len(writer.getvalue()) * 8 == 352 + 16
     assert _decode_error(writer.getvalue()) == "bitstream truncated at bit offset 352"
+
+
+def _intra_cu_with_level_over_limit(writer):
+    # The G block's one level is over the limit; B and R are zero.
+    for _ in range(3):
+        writer.write_uint(27, 6)
+    writer.write_uint(1, 11)
+    writer.write_se(-(LEVEL_LIMIT + 1))
+    writer.write_uint(0, 11)
+    writer.write_uint(0, 11)
+
+
+def _qps(writer, qp=27):
+    for _ in range(3):
+        writer.write_uint(qp, 6)
+
+
+# Faults that follow, later in the stream, a CU with a level over the limit.
+_LATER_FAULTS = {
+    "qp": lambda w: _qps(w, 63),
+    "token": lambda w: (_qps(w), w.write_uint(1025, 11)),
+    "prefix": lambda w: (_qps(w), w.write_uint(1, 11), w.write_uint(1, 41)),
+    "truncation": lambda w: _qps(w),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_LATER_FAULTS))
+def test_level_over_limit_is_reported_before_a_later_fault(fault):
+    def frame(writer):
+        writer.write_uint(0, 1)
+        _intra_cu_with_level_over_limit(writer)
+        _LATER_FAULTS[fault](writer)
+
+    data = _hand_built(1, frame).getvalue()
+    message = _decode_error(data)
+    assert message == "level magnitude 32769 exceeds limit at bit offset 191"
+    with pytest.raises(DecodeError) as err:
+        reference_decode(data)
+    assert str(err.value) == message
+
+
+def test_level_over_limit_is_reported_before_a_motion_vector_fault():
+    def frame(writer):
+        writer.write_uint(1, 1)
+        _qps(writer)
+        writer.write_se(0)
+        writer.write_se(0)
+        writer.write_uint(1, 11)
+        writer.write_se(LEVEL_LIMIT + 1)
+        writer.write_uint(0, 22)
+        _qps(writer)
+        writer.write_se(-40)
+        writer.write_se(0)
+
+    data = _hand_built(2, _zero_intra_frame, frame).getvalue()
+    message = _decode_error(data)
+    assert message == "level magnitude 32769 exceeds limit at bit offset 398"
+    with pytest.raises(DecodeError) as err:
+        reference_decode(data)
+    assert str(err.value) == message
 
 
 def test_trailing_data_after_last_frame_rejected():
