@@ -68,6 +68,7 @@ class BitReader:
         self._data = data
         self._pos = 0
         self._total = 8 * len(data)
+        self._window = None    # a BlockParser's last window, reused by read_levels
 
     def tell(self) -> int:
         return self._pos
@@ -128,7 +129,9 @@ class BitReader:
             # longest codes need: room for one longest code at least, so a
             # window that takes no code means the code at pos is malformed.
             width = min(self._total - pos, WINDOW_BITS, count * _MAX_CODE_BITS)
-            window = _Window(self._data, pos, width)
+            window = self._window    # a block's first window, built by a BlockParser
+            if window is None or window.start != pos:
+                window = _Window(self._data, pos, width)
             taken = window.skip(0, count)[1]
             if not taken:
                 break
@@ -267,8 +270,8 @@ class BlockParser:
             end, taken = window.skip(pos - window.start, token)
         if taken < token and (window is None or window.start != pos):
             self.flush()
-            window = self._window = _Window(reader._data, pos,
-                                            min(reader._total - pos, WINDOW_BITS))
+            window = _Window(reader._data, pos, min(reader._total - pos, WINDOW_BITS))
+            self._window = reader._window = window
             end, taken = window.skip(0, token)
         if taken < token:
             reader._pos = start

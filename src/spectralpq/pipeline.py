@@ -4,9 +4,13 @@ GOP structure is IPPP: frame 0 and every gop-th frame is intra (DC
 prediction per channel block), the rest are inter predicted from the
 previous reconstruction with one full-pel motion vector per CU.  Every CU
 carries three explicit channel QPs in the stream, so the decoder never
-recomputes perceptual statistics.  The decoder's output is bit-exact equal
-to the encoder's own reconstruction; that identity is the codec's master
-invariant.
+recomputes perceptual statistics.  Both sides code a frame's CUs in batches
+of at most RECONSTRUCT_LEVELS levels, each with one transform call, one
+quantizer call per QP and one shared _reconstruct.  The encoder batches an
+intra frame by anti-diagonals (a wavefront) and writes each CU as soon as
+the CUs before it in raster order are coded.  The decoder's output is
+bit-exact equal to the encoder's own reconstruction; that identity is the
+codec's master invariant.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ MODES = ("anchor-flat", "anchor-adaptiveqp", "spectral-pq")
 QP_FIELD_BITS = 6
 MAX_FRAME_SAMPLES = 1 << 26    # cap on width * height, checked on encode and decode
 PLANE_DTYPE = np.int32         # padded pictures; residual and transform arithmetic is int64
-RECONSTRUCT_LEVELS = 1 << 18   # levels the decoder reconstructs per batch of a frame's CUs
+RECONSTRUCT_LEVELS = 1 << 18   # most levels coded or reconstructed per batch of a frame's CUs
 
 # Header fields after the magic, in stream order, with their widths in bits.
 HEADER_FIELDS = {"width": 16, "height": 16, "bit_depth": 8, "fps": 16,
@@ -208,12 +212,12 @@ def _predict(recon, prev, cu, mv: Optional[MotionVector], bit_depth):
 
 
 def _reconstruct(recon, cus, pred, levels, qps, bit_depth, spec):
-    """Decode a batch of CUs onto `recon`: their (K, 3, n, n) levels are
-    dequantized with one call per distinct QP of the (K, 3) `qps` and
-    inverse transformed in one call, then each CU's prediction is added and
-    the clipped result stored at the CU.  `pred` is the batch's prediction
-    stack, or None to DC-predict the CUs in order, each from the ones
-    stored before it."""
+    """Reconstruct a batch of CUs onto `recon`, for the encoder and the
+    decoder alike: their (K, 3, n, n) levels are dequantized with one call
+    per distinct QP of the (K, 3) `qps` and inverse transformed in one call,
+    then each CU's prediction is added and the clipped result stored at the
+    CU.  `pred` is the batch's prediction stack, or None to DC-predict the
+    CUs in order, each from the ones stored before it."""
     coeffs = np.empty(levels.shape, dtype=np.int64)
     for qp in set(qps.ravel().tolist()):
         sel = qps == qp
@@ -227,6 +231,34 @@ def _reconstruct(recon, cus, pred, levels, qps, bit_depth, spec):
             block = np.clip(intra_predict_dc(recon, cu.x, cu.y, cu.size, bit_depth) + block,
                             0, top)
         _block(recon, cu)[...] = block
+
+
+def _code_batch(orig, recon, prev, cus, mvs, qps, config, spec, bit_depth) -> np.ndarray:
+    """The (K, 3, n, n) int32 levels of CUs that predict independently, from one
+    prediction stack, forward transform, quantizer call per QP and _reconstruct."""
+    n = config.cu_size
+    pred = np.stack([_predict(recon, prev, cu, mv, bit_depth) for cu, mv in zip(cus, mvs)])
+    coeffs = forward(np.stack([_block(orig, cu) for cu in cus]) - pred, spec)
+    levels = np.empty(coeffs.shape, dtype=np.int32)
+    for qp in set(qps.ravel().tolist()):
+        sel = qps == qp
+        if config.rdoq:
+            levels[sel] = rdoq_quantize(coeffs[sel], qp, n, rdoq_config(qp, n, bit_depth))
+        else:
+            levels[sel] = urq_quantize(coeffs[sel], qp, n)
+    _reconstruct(recon, cus, pred, levels, qps, bit_depth, spec)
+    return levels
+
+
+def _batches(tree, wavefront: bool):
+    """A frame's CU indices in batches of at most RECONSTRUCT_LEVELS levels (one CU
+    at least): raster runs, or with `wavefront` the grid's anti-diagonals, whose
+    CUs DC-predict only from earlier diagonals (the CUs above and to the left)."""
+    rows, cols = tree.grid_shape
+    runs = [[r * cols + d - r for r in range(max(0, d - cols + 1), min(d, rows - 1) + 1)]
+            for d in range(rows + cols - 1)] if wavefront else [range(rows * cols)]
+    step = max(1, RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * tree.cu_size ** 2))
+    return [run[k : k + step] for run in runs for k in range(0, len(run), step)]
 
 
 def _crop(recon, shape) -> Frame:
@@ -245,23 +277,18 @@ def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> list:
     cbs = []
     for i in range(len(gs["G"])):
         d = motion.magnitudes[i] if motion else 0.0
-        if config.mode == "anchor-flat":
-            for ch in PLANE_ORDER:
-                cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], 0.0, d, f, 0, 0,
-                                  config.base_qp))
-        elif config.mode == "anchor-adaptiveqp":
-            a_g = normalized_activity(gs["G"][i], means["G"])
-            delta = adaptiveqp_offset(a_g)
-            qp = min(max(config.base_qp + delta, QP_MIN), QP_MAX)
-            for ch in PLANE_ORDER:
-                cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], a_g, d, f, 0, delta, qp))
-        else:
-            for ch in PLANE_ORDER:
+        a, z, offset, qp = 0.0, 0, 0, config.base_qp
+        if config.mode == "anchor-adaptiveqp":
+            a = normalized_activity(gs["G"][i], means["G"])
+            offset = adaptiveqp_offset(a)
+            qp = min(max(config.base_qp + offset, QP_MIN), QP_MAX)
+        for ch in PLANE_ORDER:
+            if config.mode == "spectral-pq":
                 a = normalized_activity(gs[ch][i], means[ch])
                 z = temporal_offset(d, f, ch) if motion else 0
                 pqp = perceptual_qp(config.base_qp, a, z, ch)
-                cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], a, d, f, z,
-                                  pqp.total_offset, pqp.qp))
+                offset, qp = pqp.total_offset, pqp.qp
+            cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], a, d, f, z, offset, qp))
     return cbs
 
 
@@ -284,6 +311,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     recon_frames = []
     prev_recon = None
     tree = partition(first, config.cu_size)
+    cus = list(tree)
     stats = SequenceStats(grid_shape=tree.grid_shape)
 
     for idx, frame in enumerate(frames):
@@ -300,27 +328,23 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         writer.write_uint(0 if intra else 1, 1)
 
         n = len(PLANE_ORDER)
-        for cu_index, cu in enumerate(tree):
-            cu_cbs = cbs[n * cu_index : n * (cu_index + 1)]
-            for cb in cu_cbs:
-                writer.write_uint(cb.qp, QP_FIELD_BITS)
-            mv = motion.vectors[cu_index] if motion else None
-            if motion:
-                writer.write_se(mv.vx)
-                writer.write_se(mv.vy)
-
-            pred = _predict(recon, prev_recon, cu, mv, bit_depth)
-            levels = []
-            for cb, coeffs in zip(cu_cbs, forward(_block(orig, cu) - pred, spec)):
-                if config.rdoq:
-                    cfg = rdoq_config(cb.qp, config.cu_size, bit_depth)
-                    levels.append(rdoq_quantize(coeffs, cb.qp, config.cu_size, cfg))
-                else:
-                    levels.append(urq_quantize(coeffs, cb.qp, config.cu_size))
-                nbits = encode_block(levels[-1], writer)
-                fstat.bits_channel[cb.channel] = fstat.bits_channel.get(cb.channel, 0) + nbits
-            _reconstruct(recon, [cu], pred[None], np.stack(levels)[None],
-                         np.array([[cb.qp for cb in cu_cbs]]), bit_depth, spec)
+        mvs = motion.vectors if motion else [None] * len(cus)
+        qps = np.array([cb.qp for cb in cbs]).reshape(-1, n)
+        ready, written = {}, 0
+        for run in _batches(tree, intra):
+            ready.update(zip(run, _code_batch(orig, recon, prev_recon, [cus[i] for i in run],
+                                              [mvs[i] for i in run], qps[run], config, spec,
+                                              bit_depth)))
+            while written in ready:
+                for cb in cbs[n * written : n * (written + 1)]:
+                    writer.write_uint(cb.qp, QP_FIELD_BITS)
+                if motion:
+                    writer.write_se(mvs[written].vx)
+                    writer.write_se(mvs[written].vy)
+                for cb, block in zip(cbs[n * written : n * (written + 1)], ready.pop(written)):
+                    nbits = encode_block(block, writer)
+                    fstat.bits_channel[cb.channel] = fstat.bits_channel.get(cb.channel, 0) + nbits
+                written += 1
 
         fstat.bits_total = writer.tell() - frame_start
         stats.frames.append(fstat)
@@ -381,7 +405,6 @@ def decode_sequence(data: bytes) -> list:
     spec = make_spec(cu_size, "DCT", bit_depth)
 
     parser = BlockParser(reader, cu_size)
-    batch = max(1, RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * cu_size * cu_size))
     frames = []
     prev_recon = None
     try:
@@ -392,8 +415,8 @@ def decode_sequence(data: bytes) -> list:
             cus, pred, levels, qps = _read_frame(reader, 8 * len(data), parser, tree,
                                                  prev_recon if inter else None)
             recon = np.zeros((len(PLANE_ORDER), tree.height, tree.width), dtype=PLANE_DTYPE)
-            for k in range(0, len(cus), batch):
-                part = slice(k, k + batch)
+            for run in _batches(tree, wavefront=False):
+                part = slice(run.start, run.stop)
                 _reconstruct(recon, cus[part], None if pred is None else np.stack(pred[part]),
                              levels[part], qps[part], bit_depth, spec)
             prev_recon = recon

@@ -30,6 +30,7 @@ M_TABLE = (26214, 23302, 20560, 18396, 16384, 14564)
 S_TABLE = (40, 45, 51, 57, 64, 72)
 
 BLOCK_SIZES = (4, 8, 16, 32)
+_LEVEL_BITS = level_bits(np.arange(LEVEL_LIMIT + 1)).astype(np.float64)  # RDOQ rate per magnitude
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def rdoq_cost(x: int, level: int, qp: int, n: int, cfg: RdoqConfig) -> float:
 def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig) -> np.ndarray:
     """Per-coefficient level choice minimizing distortion + lambda * bits.
 
-    The candidates (0, l1, l1 + 1) are scored as one stack and the first
+    The candidates (0, l1, l1 + 1) are scored side by side and the first
     minimum wins, so ties break toward the smaller level; relative to plain
     URQ rounding the rate term only ever pulls levels down.  `cfg` carries
     the bit-depth dependent multiplier (see rdoq_config).
@@ -153,12 +154,15 @@ def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig) -> np.nd
     x = np.asarray(coeffs, dtype=np.int64)
     ax = np.abs(x)
     l1 = np.minimum((ax * p.m) >> p.qbits, LEVEL_LIMIT - 1)
-    candidates = np.stack((np.zeros_like(l1), l1, l1 + 1))
-    # Candidates are non-negative: urq_dequantize without its sign.
-    recon = (candidates * p.s << p.period) >> (int(np.log2(n)) - 1)
-    err = (ax - recon).astype(np.float64)
-    c0, c1, c2 = err * err + cfg.lam * level_bits(candidates)
+    shift = int(np.log2(n)) - 1
+
+    def cost(level):
+        # Candidates are non-negative: urq_dequantize without its sign.
+        err = (ax - ((level * p.s << p.period) >> shift)).astype(np.float64)
+        return err * err + cfg.lam * _LEVEL_BITS[level]
+
+    c0, c1, c2 = cost(0), cost(l1), cost(l1 + 1)
     # The first minimum: l1 + 1 only if strictly cheaper than l1, 0 on a tie.
-    level = np.where(c2 < c1, candidates[2], l1)
+    level = l1 + (c2 < c1)
     level[c0 <= np.minimum(c1, c2)] = 0
     return np.where(x < 0, -level, level)

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import test_reference_codec
+from spectralpq import entropy
 from spectralpq import frames as frames_mod
 from spectralpq import pipeline
 from spectralpq.corpus import noise_patches, static_gradient
@@ -539,3 +541,75 @@ def test_encoder_takes_activity_from_pipeline_cb_activity_once_per_plane(monkeyp
                                                    cu_size=16, search_range=2))
     assert shapes == [(4, 4, 16, 16)] * 3 * len(frames)
     _assert_master_invariant(result)
+
+
+def _moving_frames(width, height, count, seed):
+    """Smooth noise that slides a few samples a frame, so P-frame CUs move."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 256, (3, height + 8 * count, width + 8 * count)).cumsum(axis=2) % 256
+    return [Frame(width, height, 8, tuple(base[:, 3 * k : 3 * k + height, 2 * k : 2 * k + width]))
+            for k in range(count)]
+
+
+def _encode_outputs(frames, config):
+    result = encode_sequence(frames, config)
+    planes = [plane for frame in result.reconstruction for plane in frame.planes]
+    return result.bitstream, result.stats, planes
+
+
+@pytest.mark.parametrize("cu_size", [8, 16, 32])
+@pytest.mark.parametrize("width,height", [(64, 192), (192, 64), (130, 70)])
+def test_batch_boundaries_do_not_change_the_encode(monkeypatch, cu_size, width, height):
+    # One CTU column, one CTU row and a non-square grid, coded I, P, I: with
+    # batches of one CU and of two, every intra anti-diagonal and inter raster
+    # run splits, and the stream, stats and reconstruction must not change.
+    frames = _moving_frames(width, height, 3, seed=cu_size)
+    config = EncoderConfig(base_qp=30, gop_length=2, cu_size=cu_size, search_range=4)
+    stream, stats, planes = _encode_outputs(frames, config)
+    assert [f.frame_type for f in stats.frames] == ["I", "P", "I"]
+    cu_levels = len(PLANE_ORDER) * cu_size * cu_size
+    for levels in (cu_levels, int(2.5 * cu_levels)):
+        monkeypatch.setattr(pipeline, "RECONSTRUCT_LEVELS", levels)
+        got_stream, got_stats, got_planes = _encode_outputs(frames, config)
+        assert got_stream == stream
+        assert got_stats == stats
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(got_planes, planes, strict=True))
+        decoded = [plane for frame in decode_sequence(got_stream) for plane in frame.planes]
+        assert all(np.array_equal(a, b) for a, b in zip(decoded, planes, strict=True))
+
+
+def test_no_transform_or_quantizer_call_exceeds_the_batch_bound(monkeypatch):
+    # A 512x512 picture at CU 8 holds 786,432 levels, three times the bound:
+    # its intra frame is coded one anti-diagonal at a time and its inter frame
+    # in raster runs of at most RECONSTRUCT_LEVELS levels.
+    sizes = {"forward": [], "rdoq_quantize": []}
+    for name, seen in sizes.items():
+        def spy(coeffs, *args, _real=getattr(pipeline, name), _seen=seen):
+            _seen.append(coeffs.size)
+            return _real(coeffs, *args)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    frames = _moving_frames(512, 512, 2, seed=5)
+    result = encode_sequence(frames, EncoderConfig(base_qp=30, cu_size=8, search_range=1))
+    assert [f.frame_type for f in result.stats.frames] == ["I", "P"]
+    samples = len(PLANE_ORDER) * 512 * 512
+    assert max(sizes["forward"] + sizes["rdoq_quantize"]) <= pipeline.RECONSTRUCT_LEVELS
+    assert sum(sizes["forward"]) == sum(sizes["rdoq_quantize"]) == 2 * samples
+    batch = pipeline.RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * 8 * 8)
+    assert len(sizes["forward"]) == (64 + 64 - 1) + -(-64 * 64 // batch)
+
+
+def test_block_longer_than_a_window_builds_its_window_once(monkeypatch):
+    # The fallback's decode_block reads the block's levels from the window the
+    # parser built at its first level instead of building it again.
+    built = []
+    real = entropy._Window.__init__
+
+    def recording_window(self, data, start, width):
+        built.append((start, width))
+        real(self, data, start, width)
+
+    monkeypatch.setattr(entropy._Window, "__init__", recording_window)
+    test_reference_codec.test_level_limit_stream_at_qp_51_decodes_as_reference()
+    assert len(built) == len(set(built)) == 52
