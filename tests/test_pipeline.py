@@ -544,9 +544,9 @@ def test_encoder_takes_activity_from_pipeline_cb_activity_once_per_plane(monkeyp
 
 
 def _moving_frames(width, height, count, seed):
-    """Smooth noise that slides a few samples a frame, so P-frame CUs move."""
+    """Random walks along rows that slide a few samples a frame, so P-frame CUs move."""
     rng = np.random.default_rng(seed)
-    base = rng.integers(0, 256, (3, height + 8 * count, width + 8 * count)).cumsum(axis=2) % 256
+    base = rng.integers(-6, 7, (3, height + 8 * count, width + 8 * count)).cumsum(axis=2) % 256
     return [Frame(width, height, 8, tuple(base[:, 3 * k : 3 * k + height, 2 * k : 2 * k + width]))
             for k in range(count)]
 
