@@ -6,19 +6,33 @@ over a square window clamped to the padded frame; ties break by smaller
 magnitude, then smaller vy, then smaller vx.
 
 The search returns exactly the full search's vector at a fraction of its
-work, by successive elimination (Li & Salari, IEEE TIP 1995): the SAD of a
-candidate is at least the sum, over the block's 4x4 sub-blocks, of
-|sum(current) - sum(reference)|, and a summed-area table gives that bound
-for every candidate at once.  A threshold is the smallest SAD among (0, 0)
-and the final vectors of the left and top CUs.  Only the candidates whose
-bound is at most the threshold are evaluated; the minimum-SAD candidate and
-every candidate tied with it are among them, so the tie-break is unchanged.
+work, by multilevel successive elimination (Li & Salari, IEEE TIP 1995;
+Gao, Duanmu & Zou, IEEE TIP 2000).  Splitting a block into sub-blocks, the
+sum over them of |sum(current) - sum(reference)| is a lower bound on the
+SAD, and a finer split gives a tighter bound.  The levels, coarse to fine:
+
+1. 4x4 sums, for every candidate of the window at once, from the frame's
+   summed-area table.
+2. 2x2 sums, gathered for the candidates that pass level 1.  They are built
+   for the frame on first need, and a CU takes its own from the block.  A
+   CU descends to this level only when its survivors are many enough that
+   the gather costs less than the SADs it may save (`DESCEND_SAMPLES`).
+3. The SADs of the candidates that pass the last level taken.
+
+The threshold is the smallest SAD among (0, 0), the final vectors of the
+left and top CUs, and the winner of level 1 (its candidate of least bound:
+a winner update, Chen, Hung & Fuh, IEEE TIP 2001).  A candidate passes a
+level when its bound is at most the threshold.  Every threshold is the SAD
+of some candidate, so it is at least the minimum SAD; the minimum-SAD
+candidate and every candidate tied with it have every bound at most that
+minimum, so they pass every level and the tie-break is unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,6 +41,7 @@ from .errors import ConfigurationError, StructuralError
 from .frames import BlockTree, _is_integer, box_sums, tiles
 
 SUB_BLOCK = 4    # side of the sub-blocks whose sums bound the SAD
+DESCEND_SAMPLES = 1 << 17  # survivors x block samples from which level 2 pays
 
 
 @dataclass(frozen=True)
@@ -61,37 +76,64 @@ class _Reference:
 
     def __init__(self, reference: np.ndarray, size: int):
         self.sub = math.gcd(size, SUB_BLOCK)
-        reference = np.asarray(reference, dtype=np.int32)
+        self.plane = np.asarray(reference, dtype=np.int32)
         span = size - self.sub + 1
-        sums = box_sums(reference, self.sub).astype(np.int32)
-        self.windows = sliding_window_view(reference, (size, size))
+        sums = box_sums(self.plane, self.sub).astype(np.int32)
+        self.windows = sliding_window_view(self.plane, (size, size))
         self.window_sums = sliding_window_view(sums, (span, span))[:, :, :: self.sub, :: self.sub]
 
     def block_sums(self, block: np.ndarray) -> np.ndarray:
         """The sub-block sums of a block, in the layout of `window_sums`."""
         return tiles(block, self.sub).sum(axis=(-2, -1), dtype=np.int32)
 
+    @cached_property
+    def pair_windows(self) -> np.ndarray:
+        """The 2x2 sub-block sums of every window, built on first need."""
+        pairs = self.plane[:, 1:] + self.plane[:, :-1]
+        pairs = pairs[1:] + pairs[:-1]
+        span = self.windows.shape[-1] - 1
+        return sliding_window_view(pairs, (span, span))[:, :, ::2, ::2]
+
     def search(self, block, sums, x, y, search_range, seeds=()) -> MotionVector:
-        """The minimum-SAD vector of the block at (x, y); the SADs of (0, 0)
-        and of the `seeds` that lie in the window set the pruning threshold."""
+        """The minimum-SAD vector of the block at (x, y); the SADs of (0, 0),
+        of the `seeds` that lie in the window and of the candidate with the
+        least 4x4 bound set the pruning threshold."""
         rows, cols = self.windows.shape[:2]
         y_lo, y_hi = max(-search_range, -y), min(search_range, rows - 1 - y)
         x_lo, x_hi = max(-search_range, -x), min(search_range, cols - 1 - x)
-        threshold = min(
-            int(np.abs(self.windows[y + v.vy, x + v.vx] - block).sum())
-            for v in (MotionVector(0, 0), *seeds)
-            if y_lo <= v.vy <= y_hi and x_lo <= v.vx <= x_hi
-        )
         top, left = y + y_lo, x + x_lo
-        bounds = self.window_sums[top : y + y_hi + 1, left : x + x_hi + 1] - sums
-        bounds = np.abs(bounds, out=bounds).sum(axis=(2, 3), dtype=np.int32)
+        # level 1, with the candidates on the last axes: the sum then adds whole rows
+        region = self.window_sums[top : y + y_hi + 1, left : x + x_hi + 1].transpose(2, 3, 0, 1)
+        diffs = np.subtract(region, sums[:, :, None, None], order="C")
+        bounds = np.abs(diffs, out=diffs).sum(axis=(0, 1), dtype=np.int32)
+        wy, wx = divmod(int(bounds.argmin()), bounds.shape[1])
+        tried = [(top + wy, left + wx)] + [
+            (y + v.vy, x + v.vx) for v in (MotionVector(0, 0), *seeds)
+            if y_lo <= v.vy <= y_hi and x_lo <= v.vx <= x_hi
+        ]
+        ty, tx = zip(*tried)
+        threshold = _sads(self.windows[ty, tx], block).min()
         iy, ix = np.nonzero(bounds <= threshold)
-        diffs = self.windows[iy + top, ix + left] - block
-        sads = np.abs(diffs, out=diffs).sum(axis=(1, 2), dtype=np.int32)
+        iy += top
+        ix += left
+        if self.sub == SUB_BLOCK and iy.size * block.size > DESCEND_SAMPLES:
+            pair_sums = block[::2] + block[1::2]
+            pair_sums = pair_sums[:, ::2] + pair_sums[:, 1::2]
+            keep = _sads(self.pair_windows[iy, ix], pair_sums) <= threshold
+            iy, ix = iy[keep], ix[keep]
+        sads = _sads(self.windows[iy, ix], block)
         best = np.flatnonzero(sads == sads.min())
-        vy, vx = iy[best] + y_lo, ix[best] + x_lo
-        pick = np.lexsort((vx, vy, vy * vy + vx * vx))[0]
+        vy, vx = iy[best] - y, ix[best] - x
+        pick = np.lexsort((vx, vy, vy * vy + vx * vx))[0] if best.size > 1 else 0
         return MotionVector(int(vx[pick]), int(vy[pick]))
+
+
+def _sads(stack: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """sum |stack - target| over the last two axes, in int32.  It overwrites
+    `stack`, a fresh gather: a second temporary as large costs more than the
+    arithmetic."""
+    stack -= target
+    return np.abs(stack, out=stack).sum(axis=(-2, -1), dtype=np.int32)
 
 
 def estimate_mv(
@@ -104,10 +146,10 @@ def estimate_mv(
     """Minimum-SAD vector over [-range, +range]^2, window clamped in-frame.
 
     Ties break by smaller magnitude, then smaller vy, then smaller vx.  The
-    search is exact, pruned by the sub-block sum bound with the SAD of
-    (0, 0) as its threshold.  A non-integer position, a bad search_range or
-    plane dtype raises ConfigurationError, and a block not square or not
-    inside `reference` StructuralError.
+    search is exact, pruned by sub-block sum bounds with the SADs of (0, 0)
+    and of the best-bounded candidate as its threshold.  A non-integer
+    position, a bad search_range or plane dtype raises ConfigurationError,
+    and a block not square or not inside `reference` StructuralError.
     """
     if not (_is_integer(x) and _is_integer(y)):
         raise ConfigurationError(f"block position must be integers, got ({x!r}, {y!r})")
