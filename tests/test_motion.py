@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spectralpq import motion
+from spectralpq.corpus import high_motion_translation
 from spectralpq.errors import ConfigurationError, StructuralError
 from spectralpq.frames import BlockTree, Frame, box_sums, partition
 from spectralpq.motion import (
@@ -155,6 +159,90 @@ def test_pruned_search_equals_brute_force(kind, cu_size, search_range):
         assert vector == expected, (cu, vector, expected)
         assert estimate_mv(block, ref, cu.x, cu.y, search_range) == expected
     assert field.magnitudes == [mv_magnitude(v) for v in field.vectors]
+
+
+def _texture(kind, h, w, top, rng):
+    """A plane of one texture family; most tie under some sub-block sums."""
+    y, x = np.mgrid[:h, :w]
+    if kind == "checkerboard":  # every 2x2 and 4x4 sum is the same
+        return (y + x) % 2 * top
+    if kind == "stripes":  # period 2: every 2x2 and 4x4 sum is the same
+        return y % 2 * top
+    if kind == "period4":  # every 4x4 sum is the same, the 2x2 sums are not
+        return np.tile(rng.choice([0, top], (4, 4)), (h // 4, w // 4))
+    if kind == "flat":
+        return np.full((h, w), rng.integers(0, top + 1))
+    if kind == "extremes":
+        return rng.choice([0, top], (h, w))
+    return rng.integers(0, top + 1, (h, w))  # noise
+
+
+@st.composite
+def _searches(draw):
+    cu_size = draw(st.sampled_from([8, 16, 32]))
+    grid = st.integers(1, min(4, 96 // cu_size))  # CUs down and across, at most 96 samples
+    h, w = draw(grid) * cu_size, draw(grid) * cu_size
+    top = (1 << draw(st.sampled_from([8, 10]))) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["checkerboard", "stripes", "period4", "flat", "extremes", "noise"]))
+    ref = _texture(kind, h, w, top, rng)
+    shift = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    cur = np.roll(ref, shift, axis=(0, 1))
+    if draw(st.booleans()):  # shifted noise
+        cur = np.clip(cur + rng.integers(-8, 9, (h, w)), 0, top)
+    if draw(st.booleans()):  # a patch of a fresh draw, out of phase with the rest
+        py, px = rng.integers(0, h // 2 + 1), rng.integers(0, w // 2 + 1)
+        cur[py : py + h // 2, px : px + w // 2] = _texture(kind, h, w, top, rng)[: h // 2, : w // 2]
+    dtype = np.uint8 if top == 255 else np.uint16
+    return cur.astype(dtype), ref.astype(dtype), cu_size, draw(st.integers(0, 20))
+
+
+def _moved(kind):
+    """A 96x96 10-bit plane of `kind` and its copy rolled 1 row down and 2
+    columns left, for a CU 32 search wide enough to take the 2x2 level."""
+    ref = _texture(kind, 96, 96, 1023, np.random.default_rng(5)).astype(np.uint16)
+    return np.roll(ref, (1, -2), axis=(0, 1)), ref, 32, 16
+
+
+@settings(max_examples=100, deadline=None)
+@given(_searches())
+@example(_moved("period4"))
+@example(_moved("extremes"))
+@example(_moved("checkerboard"))
+def test_search_equals_brute_force_on_drawn_planes(search):
+    cur, ref, cu_size, search_range = search
+    h, w = cur.shape
+    tree = BlockTree(w, h, cu_size)
+    field = estimate_motion_field(cur, ref, tree, search_range)
+    for cu, vector in zip(tree, field.vectors):
+        block = cur[cu.y : cu.y + cu_size, cu.x : cu.x + cu_size]
+        expected = _brute_force_mv(block.astype(np.int64), ref, cu.x, cu.y, search_range)
+        assert vector == expected, (cu, vector, expected)
+        assert estimate_mv(block, ref, cu.x, cu.y, search_range) == expected
+
+
+def test_pair_level_prunes_a_moving_texture(monkeypatch):
+    # Each CU's SADs and 2x2 bounds go through motion._sads: a call on 2x2
+    # sums takes the CU's 4x4 survivors, and the call after it takes what
+    # the 2x2 level left of them for the full SADs.
+    calls = []
+
+    def spy(stack, target):
+        calls.append((stack.shape[-1], len(stack)))
+        return sads(stack, target)
+
+    sads = motion._sads
+    monkeypatch.setattr(motion, "_sads", spy)
+    frames = high_motion_translation(seed=4).frames
+    cur, ref = frames[1].planes[0], frames[0].planes[0]
+    tree = BlockTree(*cur.shape[::-1], 32)
+    estimate_motion_field(cur, ref, tree, 16)
+    pairs = [i for i, (side, _) in enumerate(calls) if side == 16]
+    assert pairs, "no CU took the 2x2 level"
+    for i in pairs:
+        assert calls[i + 1][0] == 32
+        assert calls[i + 1][1] < calls[i][1]
+    assert sum(calls[i + 1][1] for i in pairs) < sum(calls[i][1] for i in pairs) / 2
 
 
 @pytest.mark.parametrize("size", [8, 16, 32])

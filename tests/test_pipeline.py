@@ -1,8 +1,11 @@
+import functools
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_reference_codec
 from spectralpq import entropy
@@ -16,6 +19,7 @@ from spectralpq.frames import PLANE_ORDER, Frame
 from spectralpq.metrics import sequence_psnr
 from spectralpq.pipeline import (
     MODES,
+    QP_FIELD_BITS,
     EncoderConfig,
     StreamHeader,
     decode_sequence,
@@ -348,6 +352,47 @@ def test_decode_work_bounded_by_stream(monkeypatch):
         decode_sequence(data)
     assert str(err.value) == "bitstream truncated: need 7 bits at bit offset 154, stream has 160"
     assert len(built) <= 1
+
+
+@functools.lru_cache(maxsize=None)
+def _coded(content, count, cu_size, bit_depth):
+    frames = ([_const_frame(40 * k, bit_depth=bit_depth) for k in range(1, count + 1)]
+              if content == "flat" else _noise_frames(count, bit_depth=bit_depth, seed=count))
+    return encode_sequence(frames, EncoderConfig(base_qp=37, cu_size=cu_size)).bitstream
+
+
+@settings(max_examples=60, deadline=None)
+@given(content=st.sampled_from(["flat", "noise"]), count=st.integers(1, 3),
+       cu_size=st.sampled_from([8, 16, 32]), bit_depth=st.sampled_from([8, 10]),
+       data=st.data())
+def test_decode_work_bounded_by_stream_bits(content, count, cu_size, bit_depth, data):
+    # Every CU the decoder finishes took at least its three QP fields and
+    # three block tokens (I and P frames alike), so a stream of B bits makes
+    # at most 1 + B / that many CUs, whatever its header claims.
+    stream = bytearray(_coded(content, count, cu_size, bit_depth))
+    if data.draw(st.booleans(), "oversize header"):
+        header = stream_header(bytes(stream))
+        width = data.draw(st.integers(header["width"], 8192), "width")
+        height = data.draw(st.integers(header["height"], 8192), "height")
+        frames = data.draw(st.integers(header["frame_count"], 65535), "frame_count")
+        stream[4:8] = width.to_bytes(2, "big") + height.to_bytes(2, "big")
+        stream[14:16] = frames.to_bytes(2, "big")
+    stream = bytes(stream[: data.draw(st.integers(0, len(stream)), "length")])
+    built = []
+
+    class CountingCU(frames_mod.CodingUnit):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames_mod, "CodingUnit", CountingCU)
+        try:
+            decode_sequence(stream)
+        except DecodeError:
+            pass
+    cu_bits = len(PLANE_ORDER) * (QP_FIELD_BITS + (cu_size * cu_size).bit_length())
+    assert len(built) <= 1 + 8 * len(stream) // cu_bits
 
 
 def test_decoder_rejects_bad_header_fields():
