@@ -21,7 +21,9 @@ SAD, and a finer split gives a tighter bound.  The levels, coarse to fine:
 
 The threshold is the smallest SAD among (0, 0), the final vectors of the
 left and top CUs, and the winner of level 1 (its candidate of least bound:
-a winner update, Chen, Hung & Fuh, IEEE TIP 2001).  A candidate passes a
+a winner update, Chen, Hung & Fuh, IEEE TIP 2001).  Every CU takes the
+winner, not only those that descend: on the corpus clips it cuts the SADs
+of CUs that do not descend by more than it adds.  A candidate passes a
 level when its bound is at most the threshold.  Every threshold is the SAD
 of some candidate, so it is at least the minimum SAD; the minimum-SAD
 candidate and every candidate tied with it have every bound at most that

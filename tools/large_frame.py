@@ -1,7 +1,7 @@
 """Large-frame measurement: a synthetic 1920x1080 8-bit I+P pair, encoded
 at QP 27 and decoded, at CU 32 and at CU 8.
 
-    python tools/large_frame.py [--cu-size 32 8]
+    python tools/large_frame.py
 
 Each plane is a smooth sinusoidal texture plus Gaussian noise (sigma 6,
 seed 0); the two frames are crops of it, the second moved by 3 rows and 5
@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WIDTH, HEIGHT = 1920, 1080
 SOURCE = (1088, 1928)     # rows, columns of the planes the frames are cropped from
 CROPS = ((0, 0), (3, 5))  # top-left corner of each frame's crop
+CU_SIZES = (32, 8)
 
 
 def _frames():
@@ -80,13 +81,12 @@ def _measure(cu_size: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--cu-size", type=int, nargs="+", default=[32, 8])
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
         return _measure(args.child)
     status = 0
-    for cu_size in args.cu_size:
+    for cu_size in CU_SIZES:
         status |= subprocess.call([sys.executable, __file__, "--child", str(cu_size)])
     return status
 
