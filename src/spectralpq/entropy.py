@@ -18,7 +18,7 @@ from .errors import DecodeError, EncodeError
 LEVEL_LIMIT = 1 << 15
 MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
 _MAX_CODE_BITS = 2 * MAX_PREFIX_ZEROS + 1
-WINDOW_BITS = 1 << 14   # widest level window; its 11 jump tables take 1.4 MiB
+WINDOW_BITS = 1 << 14   # widest level window; its 11 int32 jump tables take 704 KiB
 
 
 class BitWriter:
@@ -168,13 +168,13 @@ class _Window:
         bits = np.empty(width + 1, dtype=np.uint8)
         bits[:width] = np.unpackbits(chunk)[start & 7 : (start & 7) + width]
         bits[width] = 1
-        p = np.arange(width + 1)
+        p = np.arange(width + 1, dtype=np.int32)   # every index is at most width + 1
         # next_one[p]: the first 1-bit at or after p, with a 1-bit appended
         # at `width` so that every entry is an index of the window.
         next_one = p + (bits ^ 1) * (width - p)   # p at a 1-bit, else width
         next_one = np.minimum.accumulate(next_one[::-1])[::-1]
         # jump[p]: where a code that starts at p ends, or width + 1.
-        jump = np.empty(width + 2, dtype=np.intp)
+        jump = np.empty(width + 2, dtype=np.int32)
         jump[-1] = width + 1
         code_end = jump[:-1]
         np.subtract(2 * next_one + 1, p, out=code_end)

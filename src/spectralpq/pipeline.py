@@ -4,11 +4,13 @@ GOP structure is IPPP: frame 0 and every gop-th frame is intra (DC
 prediction per channel block), the rest are inter predicted from the
 previous reconstruction with one full-pel motion vector per CU.  Every CU
 carries three explicit channel QPs in the stream, so the decoder never
-recomputes perceptual statistics.  Both sides code a frame's CUs in batches
-of at most RECONSTRUCT_LEVELS levels, each with one transform call, one
-quantizer call per QP and one shared _reconstruct.  The encoder batches an
-intra frame by anti-diagonals (a wavefront) and writes each CU as soon as
-the CUs before it in raster order are coded.  The decoder's output is
+recomputes perceptual statistics.  Both sides code a frame's CUs in
+cache-sized batches of at most RECONSTRUCT_LEVELS levels, each with one
+transform call, one quantizer call per QP and one shared _reconstruct, so
+the working set does not grow with the frame.  The encoder batches an intra
+frame by anti-diagonals (a wavefront) and writes each CU as soon as the CUs
+before it in raster order are coded.  The decoder reconstructs each raster
+batch as soon as it is parsed, in one level buffer.  The decoder's output is
 bit-exact equal to the encoder's own reconstruction; that identity is the
 codec's master invariant.
 """
@@ -16,6 +18,7 @@ codec's master invariant.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -42,8 +45,12 @@ MAGIC = b"SPQ1"
 MODES = ("anchor-flat", "anchor-adaptiveqp", "spectral-pq")
 QP_FIELD_BITS = 6
 MAX_FRAME_SAMPLES = 1 << 26    # cap on width * height, checked on encode and decode
-PLANE_DTYPE = np.int32         # padded pictures; residual and transform arithmetic is int64
-RECONSTRUCT_LEVELS = 1 << 18   # most levels coded or reconstructed per batch of a frame's CUs
+PLANE_DTYPE = np.int32         # reconstructions; residual and transform arithmetic is int64
+# Most levels coded or reconstructed per batch of a frame's CUs.  A batch's
+# int64 coefficient stack is then under 128 KiB at every CU size: it stays in
+# L2, and below glibc malloc's default mmap threshold, so the chain's
+# temporaries come from the heap, not from fresh pages mapped for each call.
+RECONSTRUCT_LEVELS = 1 << 14
 
 # Header fields after the magic, in stream order, with their widths in bits.
 HEADER_FIELDS = {"width": 16, "height": 16, "bit_depth": 8, "fps": 16,
@@ -315,8 +322,8 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     stats = SequenceStats(grid_shape=tree.grid_shape)
 
     for idx, frame in enumerate(frames):
-        orig = pad_plane(np.stack(frame.planes), DEFAULT_CTU_SIZE).astype(PLANE_DTYPE)
-        recon = np.zeros_like(orig)
+        orig = pad_plane(np.stack(frame.planes), DEFAULT_CTU_SIZE)
+        recon = np.zeros(orig.shape, dtype=PLANE_DTYPE)
         intra = idx % config.gop_length == 0
 
         motion = None if intra else estimate_motion_field(
@@ -355,41 +362,50 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     return EncodeResult(writer.getvalue(), stats, recon_frames)
 
 
-def _read_frame(reader, stream_bits, parser, tree, prev_recon):
-    """Parse a frame's CUs after its type bit: the CUs, their motion-compensated
-    predictions from `prev_recon` (None for an intra frame), their
-    (K, 3, n, n) levels and (K, 3) QPs.  Levels wait in `parser` until its
-    flush(), which follows the frame's last CU."""
+def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, bit_depth, spec):
+    """Parse and reconstruct a frame's CUs after its type bit, with
+    motion-compensated prediction from `prev_recon` (None for an intra
+    frame).  Each of the raster `batches` is parsed into the first K * 3 rows
+    of `levels`, zeroed first, then flushed from `parser` and reconstructed
+    before the next batch is parsed."""
     n, size = len(PLANE_ORDER), tree.cu_size
-    # Each CU takes at least its QP fields, so the level stack needs no more
-    # CUs than the rest of the stream can hold.
-    cus_left = 1 + (stream_bits - reader.tell()) // (n * QP_FIELD_BITS)
-    rows, cols = tree.grid_shape
-    levels = np.zeros((min(rows * cols, cus_left) * n, size * size), dtype=np.int32)
-    cus, qps = [], []
-    pred = None if prev_recon is None else []
-    for cu in tree:
-        cu_qps = []
-        for _ in PLANE_ORDER:
-            qp = reader.read_uint(QP_FIELD_BITS)
-            if qp > QP_MAX:
-                raise DecodeError(f"qp {qp} out of range at bit offset {reader.tell()}")
-            cu_qps.append(qp)
-        if pred is not None:
-            mv = MotionVector(reader.read_se(), reader.read_se())
-            if not (0 <= cu.x + mv.vx <= tree.width - size
-                    and 0 <= cu.y + mv.vy <= tree.height - size):
-                raise DecodeError(
-                    f"motion vector ({mv.vx}, {mv.vy}) leaves the frame at CU ({cu.x}, {cu.y})"
-                )
-            pred.append(_predict(None, prev_recon, cu, mv, None))
-        for row in range(n * len(cus), n * len(cus) + n):
-            if not parser.read(levels, row):
-                levels[row] = decode_block(reader, size).ravel()
-        cus.append(cu)
-        qps.append(cu_qps)
-    parser.flush()
-    return cus, pred, levels.reshape(-1, n, size, size), np.array(qps)
+    # Each CU takes at least its QP fields and block tokens.  A frame that the
+    # rest of the stream cannot hold ends in a DecodeError, so it is parsed
+    # without a picture: memory stays in proportion to the input.
+    cu_bits = n * (QP_FIELD_BITS + (size * size).bit_length())
+    fits = stream_bits - reader.tell() >= tree.grid_shape[0] * tree.grid_shape[1] * cu_bits
+    recon = np.zeros((n, tree.height, tree.width), dtype=PLANE_DTYPE) if fits else None
+    grid = iter(tree)
+    for run in batches:
+        cus, qps = [], []
+        pred = None if prev_recon is None else []
+        rows = levels[: n * len(run)]
+        rows.fill(0)
+        for cu in islice(grid, len(run)):    # each CU built as it is parsed
+            cu_qps = []
+            for _ in PLANE_ORDER:
+                qp = reader.read_uint(QP_FIELD_BITS)
+                if qp > QP_MAX:
+                    raise DecodeError(f"qp {qp} out of range at bit offset {reader.tell()}")
+                cu_qps.append(qp)
+            if pred is not None:
+                mv = MotionVector(reader.read_se(), reader.read_se())
+                if not (0 <= cu.x + mv.vx <= tree.width - size
+                        and 0 <= cu.y + mv.vy <= tree.height - size):
+                    raise DecodeError(
+                        f"motion vector ({mv.vx}, {mv.vy}) leaves the frame at CU ({cu.x}, {cu.y})"
+                    )
+                pred.append(_predict(None, prev_recon, cu, mv, None))
+            for row in range(n * len(cus), n * len(cus) + n):
+                if not parser.read(rows, row):
+                    rows[row] = decode_block(reader, size).ravel()
+            cus.append(cu)
+            qps.append(cu_qps)
+        parser.flush()
+        if fits:
+            _reconstruct(recon, cus, None if pred is None else np.stack(pred),
+                         rows.reshape(-1, n, size, size), np.array(qps), bit_depth, spec)
+    return recon
 
 
 def decode_sequence(data: bytes) -> list:
@@ -405,6 +421,9 @@ def decode_sequence(data: bytes) -> list:
     spec = make_spec(cu_size, "DCT", bit_depth)
 
     parser = BlockParser(reader, cu_size)
+    batches = _batches(tree, wavefront=False)
+    # The level rows of one batch, reused by every batch of every frame.
+    levels = np.empty((len(PLANE_ORDER) * len(batches[0]), cu_size * cu_size), dtype=np.int32)
     frames = []
     prev_recon = None
     try:
@@ -412,15 +431,9 @@ def decode_sequence(data: bytes) -> list:
             inter = reader.read_uint(1)
             if inter and idx == 0:
                 raise DecodeError(f"frame {idx} is inter but no reference exists")
-            cus, pred, levels, qps = _read_frame(reader, 8 * len(data), parser, tree,
-                                                 prev_recon if inter else None)
-            recon = np.zeros((len(PLANE_ORDER), tree.height, tree.width), dtype=PLANE_DTYPE)
-            for run in _batches(tree, wavefront=False):
-                part = slice(run.start, run.stop)
-                _reconstruct(recon, cus[part], None if pred is None else np.stack(pred[part]),
-                             levels[part], qps[part], bit_depth, spec)
-            prev_recon = recon
-            frames.append(_crop(recon, header))
+            prev_recon = _read_frame(reader, 8 * len(data), parser, tree, batches, levels,
+                                     prev_recon if inter else None, bit_depth, spec)
+            frames.append(_crop(prev_recon, header))
     except DecodeError:
         parser.flush()  # a level over the limit earlier in the stream is the first error
         raise

@@ -1,5 +1,9 @@
 import functools
 import importlib.util
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -622,6 +626,133 @@ def test_batch_boundaries_do_not_change_the_encode(monkeypatch, cu_size, width, 
                    for a, b in zip(got_planes, planes, strict=True))
         decoded = [plane for frame in decode_sequence(got_stream) for plane in frame.planes]
         assert all(np.array_equal(a, b) for a, b in zip(decoded, planes, strict=True))
+
+
+def _cu_starts(stream):
+    """The bit offset of every CU of a valid stream: where the decoder reads
+    the first of its three QP fields."""
+    starts, real = [], entropy.BitReader.read_uint
+
+    def spy(reader, nbits):
+        if nbits == QP_FIELD_BITS:
+            starts.append(reader.tell())
+        return real(reader, nbits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy.BitReader, "read_uint", spy)
+        decode_sequence(stream)
+    return starts[: len(starts) - len(starts) % 3 : 3]   # less a 6-bit padding read
+
+
+def _splice(stream, start, end, write):
+    """The stream with its bits [start, end) replaced by what `write` writes."""
+    reader, writer = entropy.BitReader(stream), BitWriter()
+    writer.write_uint(reader.read_uint(start), start)
+    write(writer)
+    reader.read_uint(end - start)
+    rest = 8 * len(stream) - end
+    writer.write_uint(reader.read_uint(rest), rest)
+    return writer.getvalue()
+
+
+def _decode_outcome(data):
+    try:
+        return [plane for frame in decode_sequence(data) for plane in frame.planes]
+    except DecodeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("cu_size", [8, 16, 32])
+def test_batch_boundaries_do_not_change_the_decode(monkeypatch, cu_size):
+    # The decoder parses and reconstructs a frame one batch at a time.  With
+    # batches of one CU, of two and of the default bound, an I+P stream
+    # decodes to the same frames, and the stream cut, or given a level over
+    # the limit, in the first CU of a second batch raises the same error.
+    frames = _moving_frames(130, 70, 2, seed=cu_size)
+    config = EncoderConfig(base_qp=30, cu_size=cu_size, search_range=4)
+    result = encode_sequence(frames, config)
+    stream = result.bitstream
+    assert [f.frame_type for f in result.stats.frames] == ["I", "P"]
+    starts = _cu_starts(stream) + [128 + result.stats.total_bits]
+    grid = len(starts) // 2
+    cu_levels = len(PLANE_ORDER) * cu_size * cu_size
+    bounds = (cu_levels, int(2.5 * cu_levels), pipeline.RECONSTRUCT_LEVELS)
+    steps = [bound // cu_levels for bound in bounds]
+    assert steps[:2] == [1, 2] and 2 < steps[2] < grid   # every bound splits the frame
+    token_bits = (cu_size * cu_size).bit_length()
+
+    def level_over_limit(inter):
+        def write(writer):
+            _qps(writer)
+            if inter:
+                writer.write_se(0)
+                writer.write_se(0)
+            writer.write_uint(1, token_bits)
+            writer.write_se(LEVEL_LIMIT + 1)
+            writer.write_uint(0, 2 * token_bits)
+        return write
+
+    cases = {"valid": (stream, None)}
+    for step in steps:
+        for cu in (step, grid + step):   # the first CU of the I- and the P-frame's second batch
+            start, end = starts[cu], starts[cu + 1]
+            cases[f"cut in CU {cu}"] = (stream[: (start + end) // 16],
+                                        ("bitstream truncated", "invalid exp-Golomb prefix"))
+            level_end = start + 3 * QP_FIELD_BITS + 2 * (cu >= grid) + token_bits + 33
+            cases[f"level over the limit in CU {cu}"] = (
+                _splice(stream, start, end, level_over_limit(cu >= grid)),
+                (f"level magnitude {LEVEL_LIMIT + 1} exceeds limit at bit offset {level_end}",),
+            )
+    expected = {name: _decode_outcome(data) for name, (data, _) in cases.items()}
+    for name, (_, message) in cases.items():
+        if message is None:
+            planes = [plane for frame in result.reconstruction for plane in frame.planes]
+            assert all(np.array_equal(a, b) for a, b in zip(expected[name], planes, strict=True))
+        else:
+            assert expected[name].startswith(message), name
+    for bound in bounds[:2]:
+        monkeypatch.setattr(pipeline, "RECONSTRUCT_LEVELS", bound)
+        for name, (data, _) in cases.items():
+            got = _decode_outcome(data)
+            if isinstance(got, str):
+                assert got == expected[name], (bound, name)
+            else:
+                assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                           for a, b in zip(got, expected[name], strict=True)), (bound, name)
+
+
+# One more round trip of codecbench's inter_motion clip after two warm-up
+# ones, in a fresh process that first frees an array of argv[1] bytes;
+# prints the process's minor page faults during that round trip.
+_STEADY_STATE_FAULTS = """
+import resource, sys
+import numpy as np
+from spectralpq.corpus import high_motion_translation
+from spectralpq.pipeline import EncoderConfig, decode_sequence, encode_sequence
+
+freed = np.ones(int(sys.argv[1]), dtype=np.uint8)
+del freed
+frames = high_motion_translation(seed=104).frames
+config = EncoderConfig(base_qp=27, cu_size=32, gop_length=8)
+for _ in range(2):
+    decode_sequence(encode_sequence(frames, config).bitstream)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+decode_sequence(encode_sequence(frames, config).bitstream)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc's thresholds")
+@pytest.mark.parametrize("freed_mib", [0, 1, 4])
+def test_steady_state_round_trip_takes_few_page_faults(freed_mib):
+    # A batch's temporaries stay under glibc's default mmap threshold, so a
+    # steady-state encode and decode reuse heap pages whatever the process
+    # freed before: not the tens of thousands of faults of whole-frame
+    # temporaries mapped and unmapped on every frame.
+    env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _STEADY_STATE_FAULTS, str(freed_mib << 20)],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert int(out.stdout) <= 3000
 
 
 def test_no_transform_or_quantizer_call_exceeds_the_batch_bound(monkeypatch):

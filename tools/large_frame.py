@@ -9,10 +9,12 @@ columns.  Each CU size runs in a fresh process, so its peak RSS is that
 encode and decode alone.  Each prints one line:
 
     cu_size=8 encode_s_per_frame=... decode_s_per_frame=...
-        motion_us_per_cu=... peak_rss_mib=...
+        motion_us_per_cu=... peak_rss_mib=... encode_faults=... decode_faults=...
 
 Motion search is the wall time of `estimate_motion_field` over the CUs it
-searched.  Exits 1 if the decoded frames differ from the encoder's
+searched.  The faults are the process's minor page faults during the
+encode and during the decode (the `ru_minflt` difference around each
+call).  Exits 1 if the decoded frames differ from the encoder's
 reconstruction.  It is not a test file, so pytest does not collect it; a
 run takes about half a minute.
 """
@@ -63,18 +65,22 @@ def _measure(cu_size: int) -> int:
         return field
 
     pipeline.estimate_motion_field = timed_search
+    def timed(call, *args):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        out = call(*args)
+        return (out, time.perf_counter() - start,
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+
     frames = _frames()
-    start = time.perf_counter()
-    result = pipeline.encode_sequence(frames, pipeline.EncoderConfig(base_qp=27, cu_size=cu_size))
-    encode_s = time.perf_counter() - start
-    start = time.perf_counter()
-    decoded = pipeline.decode_sequence(result.bitstream)
-    decode_s = time.perf_counter() - start
+    result, encode_s, encode_faults = timed(
+        pipeline.encode_sequence, frames, pipeline.EncoderConfig(base_qp=27, cu_size=cu_size))
+    decoded, decode_s, decode_faults = timed(pipeline.decode_sequence, result.bitstream)
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"cu_size={cu_size} encode_s_per_frame={encode_s / len(frames):.3f} "
           f"decode_s_per_frame={decode_s / len(frames):.3f} "
-          f"motion_us_per_cu={1e6 * sum(motion_s) / sum(cus):.1f} peak_rss_mib={peak_mib:.1f}",
-          flush=True)
+          f"motion_us_per_cu={1e6 * sum(motion_s) / sum(cus):.1f} peak_rss_mib={peak_mib:.1f} "
+          f"encode_faults={encode_faults} decode_faults={decode_faults}", flush=True)
     same = all(np.array_equal(d.planes, r.planes) for d, r in zip(decoded, result.reconstruction))
     return 0 if same else 1
 
