@@ -18,7 +18,7 @@ from .errors import DecodeError, EncodeError
 LEVEL_LIMIT = 1 << 15
 MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
 _MAX_CODE_BITS = 2 * MAX_PREFIX_ZEROS + 1
-WINDOW_BITS = 1 << 14   # widest level window; its 11 int32 jump tables take 704 KiB
+WINDOW_BITS = 1 << 14   # widest level window; its 11 jump tables take 1.4 MiB
 
 
 class BitWriter:
@@ -174,7 +174,7 @@ class _Window:
         next_one = p + (bits ^ 1) * (width - p)   # p at a 1-bit, else width
         next_one = np.minimum.accumulate(next_one[::-1])[::-1]
         # jump[p]: where a code that starts at p ends, or width + 1.
-        jump = np.empty(width + 2, dtype=np.int32)
+        jump = np.empty(width + 2, dtype=np.intp)
         jump[-1] = width + 1
         code_end = jump[:-1]
         np.subtract(2 * next_one + 1, p, out=code_end)

@@ -698,7 +698,9 @@ def test_batch_boundaries_do_not_change_the_decode(monkeypatch, cu_size):
             start, end = starts[cu], starts[cu + 1]
             cases[f"cut in CU {cu}"] = (stream[: (start + end) // 16],
                                         ("bitstream truncated", "invalid exp-Golomb prefix"))
-            level_end = start + 3 * QP_FIELD_BITS + 2 * (cu >= grid) + token_bits + 33
+            # the QPs, a (0, 0) MV of two 1-bit codes in P, the G token, the level
+            level_end = (start + 3 * QP_FIELD_BITS + 2 * (cu >= grid) + token_bits
+                         + entropy.level_bits(LEVEL_LIMIT + 1))
             cases[f"level over the limit in CU {cu}"] = (
                 _splice(stream, start, end, level_over_limit(cu >= grid)),
                 (f"level magnitude {LEVEL_LIMIT + 1} exceeds limit at bit offset {level_end}",),
