@@ -4,6 +4,11 @@ zigzag-scanned coefficient blocks.
 Signed levels map 0 -> 0, +k -> 2k-1, -k -> 2k before unsigned exp-Golomb
 coding, so level_bits() is the exact emitted length and the RDOQ rate term
 is truthful for this bitstream.
+
+The writer defers packing: write_uint and encode_block record (value,
+length) codes, and BitWriter packs the pending codes into bytes in one
+vectorized step once PACK_CODES are pending and at getvalue().  A block
+costs a few array operations on its coded levels, not one per bit.
 """
 
 from __future__ import annotations
@@ -19,15 +24,29 @@ LEVEL_LIMIT = 1 << 15
 MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
 _MAX_CODE_BITS = 2 * MAX_PREFIX_ZEROS + 1
 WINDOW_BITS = 1 << 14   # widest level window; its 11 jump tables take 1.4 MiB
+PACK_CODES = 1 << 13    # pending codes that make a BitWriter pack
+# The code length of each level magnitude up to LEVEL_LIMIT, 2 * bit_length + 1:
+# magnitude 0, then the 2^(b-1) magnitudes of each bit length b.
+_LEVEL_LENGTHS = np.repeat(
+    np.arange(1, 2 * LEVEL_LIMIT.bit_length() + 2, 2, dtype=np.uint8),
+    [1] + [1 << b for b in range(LEVEL_LIMIT.bit_length())],
+)[: LEVEL_LIMIT + 1]
 
 
 class BitWriter:
-    """Accumulates bits MSB-first; the final byte is zero-padded."""
+    """Accumulates bits MSB-first; the final byte is zero-padded.
+
+    Writes are recorded as codes of at most 64 bits, (value, length) pairs,
+    and packed into bytes in one vectorized step once PACK_CODES are
+    pending, and at getvalue().  tell() counts the pending bits too.
+    """
 
     def __init__(self):
-        self._chunks = bytearray()
-        self._acc = 0
-        self._nacc = 0
+        self._data = bytearray()      # packed whole bytes
+        self._tail = self._ntail = 0  # the packed bits after them, fewer than 8
+        self._values = np.empty(64, dtype=np.uint64)   # pending codes
+        self._lengths = np.empty(64, dtype=np.int64)
+        self._count = 0
         self._nbits = 0
 
     def tell(self) -> int:
@@ -36,14 +55,75 @@ class BitWriter:
     def write_uint(self, value: int, nbits: int) -> None:
         if value < 0 or value >> nbits:
             raise EncodeError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nacc += nbits
-        self._nbits += nbits
-        if self._nacc >= 8:
-            rem = self._nacc & 7
-            self._chunks += (self._acc >> rem).to_bytes((self._nacc - rem) // 8, "big")
-            self._acc &= (1 << rem) - 1
-            self._nacc = rem
+        if nbits > 64:
+            # 64-bit codes, high part first; the first holds what is left over.
+            words = -(-nbits // 64)
+            lengths = np.full(words, 64)
+            lengths[0] = nbits - 64 * (words - 1)
+            self.write_codes(np.frombuffer(int(value).to_bytes(8 * words, "big"), ">u8"), lengths)
+        elif nbits:
+            i = self._count
+            if i == len(self._values):
+                self._reserve(i + 1)
+            self._values[i] = value
+            self._lengths[i] = nbits
+            self._count = i + 1
+            self._nbits += nbits
+            if i + 1 >= PACK_CODES:
+                self._pack()
+
+    def write_codes(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        """Append a run of codes: values[k] in lengths[k] bits, 1 to 64 bits
+        each.  Unchecked: callers derive the lengths from the values."""
+        i = self._count
+        j = i + len(values)
+        if j > len(self._values):
+            self._reserve(j)
+        self._values[i:j] = values
+        self._lengths[i:j] = lengths
+        self._count = j
+        self._nbits += int(lengths.sum())
+        if j >= PACK_CODES:
+            self._pack()
+
+    def _reserve(self, size: int) -> None:
+        for name in ("_values", "_lengths"):
+            old = getattr(self, name)
+            new = np.empty(max(size, 2 * len(old)), dtype=old.dtype)
+            new[: self._count] = old[: self._count]
+            setattr(self, name, new)
+
+    def _pack(self) -> None:
+        """Pack the pending codes after the tail bits into 64-bit big-endian
+        words: each code is shifted into the word that holds its last bit,
+        the codes of a word are OR-ed together by one reduceat, and a code
+        that starts in the word before puts its high part there."""
+        count, self._count = self._count, 0
+        if not count:
+            return
+        values, lengths = self._values[:count], self._lengths[:count]
+        lengths[0] += self._ntail - 1    # so the sums count from the tail's first bit
+        word = np.cumsum(lengths)        # each code's last bit, then its word
+        lengths[0] -= self._ntail - 1
+        total = int(word[-1]) + 1
+        shift = ~word
+        shift &= 63                      # 63 - the last bit's place in its word
+        word >>= 6
+        # The first code of each word; only such a code can start in the word before.
+        heads = np.flatnonzero(word[1:] != word[:-1])
+        heads += 1
+        heads = np.concatenate(([0], heads))
+        spill = heads[lengths[heads] + shift[heads] > 64]
+        words = np.zeros(int(word[-1]) + 1, dtype=np.uint64)
+        words[word[spill] - 1] = values[spill] >> (64 - shift[spill]).view(np.uint64)
+        shift = np.left_shift(values, shift.view(np.uint64), out=shift.view(np.uint64))
+        words[word[heads]] |= np.bitwise_or.reduceat(shift, heads)
+        if self._ntail:
+            words[0] |= np.uint64(self._tail << (64 - self._ntail))
+        out = memoryview(words.astype(">u8")).cast("B")
+        self._data += out[: total >> 3]
+        self._ntail = total & 7
+        self._tail = out[total >> 3] >> (8 - self._ntail) if self._ntail else 0
 
     def write_ue(self, value: int) -> None:
         if value < 0:
@@ -55,9 +135,10 @@ class BitWriter:
         self.write_ue(2 * value - 1 if value > 0 else -2 * value)
 
     def getvalue(self) -> bytes:
-        out = bytes(self._chunks)
-        if self._nacc:
-            out += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
+        self._pack()
+        out = bytes(self._data)
+        if self._ntail:
+            out += bytes([self._tail << (8 - self._ntail)])
         return out
 
 
@@ -321,10 +402,6 @@ def level_bits(levels):
     return bits if bits.ndim else int(bits)
 
 
-def _signed_map(levels: np.ndarray) -> np.ndarray:
-    return np.where(levels > 0, 2 * levels - 1, -2 * levels)
-
-
 @lru_cache(maxsize=None)
 def zigzag_order(n: int) -> tuple[tuple[int, int], ...]:
     """Classic diagonal scan from DC: even diagonals run up-right, odd down-left."""
@@ -369,25 +446,23 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
     n = levels.shape[0]
     if levels.shape != (n, n):
         raise EncodeError(f"level block must be square, got {levels.shape}")
-    if np.any(np.abs(levels) > LEVEL_LIMIT):
-        bad = int(np.max(np.abs(levels)))
+    scan = levels.ravel()[_zigzag_flat(n)]
+    nonzero = scan != 0
+    token = n * n - int(nonzero[::-1].argmax())   # n * n when all are zero
+    if not nonzero[token - 1]:
+        token = 0
+    prefix = scan[:token].astype(np.int64, copy=False)
+    if token and (prefix.max() > LEVEL_LIMIT or prefix.min() < -LEVEL_LIMIT):
+        bad = int(np.abs(prefix).max())
         raise EncodeError(f"level magnitude {bad} exceeds limit {LEVEL_LIMIT}")
     start = writer.tell()
-    coded = scan_block(levels)
-    writer.write_uint(coded.last_significant + 1, _token_bits(n))
-    if coded.last_significant >= 0:
-        vals = coded.scan[: coded.last_significant + 1]
-        # signed map then +1: the value written for each (2*width-1)-bit code
-        plus1 = _signed_map(vals) + 1
-        nbits = level_bits(vals)
-        ends = np.cumsum(nbits)
-        total = int(ends[-1])
-        # Bit k of the concatenated codes is bit (end of its code - 1 - k)
-        # of its value: the code's leading zeros are the value's high bits.
-        shifts = np.repeat(ends - 1, nbits) - np.arange(total)
-        bits = (np.repeat(plus1, nbits) >> shifts).astype(np.uint8) & 1
-        packed = int.from_bytes(np.packbits(bits).tobytes(), "big")
-        writer.write_uint(packed >> (-total % 8), total)
+    writer.write_uint(token, _token_bits(n))
+    if token:
+        magnitude = np.abs(prefix)
+        lengths = _LEVEL_LENGTHS.take(magnitude)
+        magnitude <<= 1
+        magnitude |= prefix <= 0     # the signed map plus one: +k -> 2k, -k -> 2k + 1
+        writer.write_codes(magnitude, lengths)
     return writer.tell() - start
 
 

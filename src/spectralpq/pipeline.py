@@ -144,7 +144,7 @@ class StreamHeader:
         return cls(**values)
 
 
-@dataclass
+@dataclass(slots=True)
 class CbStat:
     """One channel block's perceptual bookkeeping (audit CSV row)."""
 

@@ -6,11 +6,12 @@ every channel block of a CU is predicted, transformed, quantized, coded and
 reconstructed on its own.  Its block kernels are the plain int64 and
 Python-int versions: the transforms multiply int64 matrices, the quantizers
 and RDOQ work on signed int64 levels, and encode_block appends each level's
-code to one Python int; decode_block parses each level with read_se.  It
-shares with the library the header codec, the bit reader and writer, the CU
-grid, the basis matrices and the quantizer tables, but none of the
-pipeline's prediction or reconstruction helpers and none of its transform,
-quantization or block-coding kernels.  Its pictures are cropped to uint8
+code to one Python int; decode_block parses each level with read_se.  Its
+BitWriter is its own: the library's eager big-int writer from before the
+library's writer deferred its packing.  It shares with the library the
+header codec, the bit reader, the CU grid, the basis matrices and the
+quantizer tables, but none of the pipeline's prediction or reconstruction
+helpers and none of its transform, quantization or block-coding kernels.  Its pictures are cropped to uint8
 (8-bit) or uint16 (10-bit) samples.
 
 The encoder side takes each frame's decisions, the CbStat QPs and the
@@ -23,13 +24,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from spectralpq.entropy import LEVEL_LIMIT, BitReader, BitWriter, zigzag_order
-from spectralpq.errors import DecodeError
+from spectralpq.entropy import LEVEL_LIMIT, BitReader, zigzag_order
+from spectralpq.errors import DecodeError, EncodeError
 from spectralpq.frames import DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, partition
 from spectralpq.motion import MotionVector
 from spectralpq.pipeline import MODES, QP_FIELD_BITS, StreamHeader
 from spectralpq.quantizer import M_TABLE, QP_MAX, S_TABLE, rdoq_config
 from spectralpq.transform import _inverse_matrix, make_spec
+
+
+class BitWriter:
+    """Accumulates bits MSB-first; the final byte is zero-padded."""
+
+    def __init__(self):
+        self._chunks = bytearray()
+        self._acc = 0
+        self._nacc = 0
+        self._nbits = 0
+
+    def tell(self) -> int:
+        return self._nbits
+
+    def write_uint(self, value: int, nbits: int) -> None:
+        if value < 0 or value >> nbits:
+            raise EncodeError(f"value {value} does not fit in {nbits} bits")
+        self._acc = (self._acc << nbits) | value
+        self._nacc += nbits
+        self._nbits += nbits
+        if self._nacc >= 8:
+            rem = self._nacc & 7
+            self._chunks += (self._acc >> rem).to_bytes((self._nacc - rem) // 8, "big")
+            self._acc &= (1 << rem) - 1
+            self._nacc = rem
+
+    def write_ue(self, value: int) -> None:
+        if value < 0:
+            raise EncodeError(f"unsigned exp-Golomb value must be >= 0, got {value}")
+        width = (value + 1).bit_length()
+        self.write_uint(value + 1, 2 * width - 1)
+
+    def write_se(self, value: int) -> None:
+        self.write_ue(2 * value - 1 if value > 0 else -2 * value)
+
+    def getvalue(self) -> bytes:
+        out = bytes(self._chunks)
+        if self._nacc:
+            out += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
+        return out
 
 
 def _shift_round(v, shift):

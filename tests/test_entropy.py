@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -184,16 +186,44 @@ def _packer_test_blocks(n, rng):
 @pytest.mark.parametrize("offset", [0, 3, 7])
 def test_encode_block_matches_python_int_packer(n, offset):
     # The vectorised bit placement against the per-level Python-int packer
-    # of the reference codec, written after `offset` bits of other syntax.
+    # of the reference codec and its eager writer, after `offset` bits of
+    # other syntax.
     rng = np.random.default_rng(n + offset)
     for levels in _packer_test_blocks(n, rng):
-        got, want = BitWriter(), BitWriter()
+        got, want = BitWriter(), reference_codec.BitWriter()
         for w in (got, want):
             w.write_uint((1 << offset) - 1, offset)
         nbits = encode_block(levels, got)
         assert nbits == reference_codec.encode_block(levels, want)
         assert got.tell() == want.tell() and got.getvalue() == want.getvalue()
         assert nbits == block_bits(levels)
+
+
+def test_level_length_table_is_level_bits():
+    magnitudes = np.arange(LEVEL_LIMIT + 1)
+    assert entropy._LEVEL_LENGTHS.dtype == np.uint8
+    assert np.array_equal(entropy._LEVEL_LENGTHS, level_bits(magnitudes))
+
+
+def test_writer_packs_across_the_default_bound(monkeypatch):
+    # Dense 32x32 blocks between header-like fields fill PACK_CODES several
+    # times over; the packed stream equals the eager writer's.
+    packs = []
+    real_pack = BitWriter._pack
+    monkeypatch.setattr(BitWriter, "_pack", lambda w: (packs.append(w._count), real_pack(w)))
+    rng = np.random.default_rng(12)
+    got, want = BitWriter(), reference_codec.BitWriter()
+    for k in range(40):
+        levels = rng.integers(-300, 301, (32, 32), dtype=np.int32)
+        mv = int(rng.integers(-99, 100))
+        for w in (got, want):
+            w.write_uint(k % 64, 6)
+            w.write_se(mv)
+        assert encode_block(levels, got) == reference_codec.encode_block(levels, want)
+        assert got.tell() == want.tell()
+    assert got.getvalue() == want.getvalue()
+    assert len([c for c in packs if c]) >= 4
+    assert max(packs) <= entropy.PACK_CODES + 32 * 32
 
 
 def test_level_overflow_rejected():
@@ -449,3 +479,122 @@ def test_level_windows_start_at_blocks_and_stay_within_the_cap(monkeypatch, cu_s
     assert len(windows) > 4
     assert {start for start, _ in windows} <= set(level_starts)
     assert all(width <= min(8 * len(stream) - start, WINDOW_BITS) for start, width in windows)
+
+
+class _StringWriter:
+    """The stream as a string of '0' and '1': the model the packing writer
+    must match."""
+
+    def __init__(self):
+        self.bits = ""
+
+    def tell(self) -> int:
+        return len(self.bits)
+
+    def write_uint(self, value: int, nbits: int) -> None:
+        if value < 0 or value >= 1 << nbits:
+            raise EncodeError(f"value {value} does not fit in {nbits} bits")
+        self.bits += format(value, f"0{nbits}b") if nbits else ""
+
+    def write_ue(self, value: int) -> None:
+        if value < 0:
+            raise EncodeError(f"unsigned exp-Golomb value must be >= 0, got {value}")
+        payload = format(value + 1, "b")
+        self.bits += "0" * (len(payload) - 1) + payload
+
+    def write_se(self, value: int) -> None:
+        self.write_ue(2 * value - 1 if value > 0 else -2 * value)
+
+    def getvalue(self) -> bytes:
+        padded = self.bits + "0" * (-len(self.bits) % 8)
+        return bytes(int(padded[k : k + 8], 2) for k in range(0, len(padded), 8))
+
+
+@st.composite
+def _writer_blocks(draw, over_limit=False):
+    """An n x n level block of one kind; with `over_limit`, one that
+    encode_block must reject."""
+    n = draw(st.sampled_from([8, 16, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    levels = np.zeros((n, n), dtype=dtype)
+    kind = draw(st.sampled_from(["zero", "dc", "last", "dense", "limit"]))
+    if kind in ("dc", "last"):
+        levels[(0, 0) if kind == "dc" else (-1, -1)] = draw(
+            st.integers(1, LEVEL_LIMIT)) * draw(st.sampled_from([1, -1]))
+    elif kind == "dense":
+        scale = draw(st.sampled_from([1, 40, 3000]))
+        levels[...] = rng.integers(-scale, scale + 1, (n, n)) * (rng.random((n, n)) < 0.8)
+    elif kind == "limit":
+        levels[...] = LEVEL_LIMIT * rng.choice([-1, 1], (n, n))
+    if over_limit:
+        if draw(st.booleans()):
+            return levels[:, 1:]
+        levels[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = (
+            (LEVEL_LIMIT + 1) * draw(st.sampled_from([1, -1])))
+    return levels
+
+
+_WIDTHS = st.integers(0, 130)
+_WRITER_OPS = st.one_of(
+    _WIDTHS.flatmap(lambda nbits: st.tuples(
+        st.just("uint"), st.integers(0, (1 << nbits) - 1), st.just(nbits))),
+    _WIDTHS.flatmap(lambda nbits: st.tuples(
+        st.just("uint"), st.one_of(st.integers(1 << nbits, 1 << (nbits + 2)),
+                                   st.integers(-9, -1)), st.just(nbits))),
+    st.tuples(st.just("ue"), st.integers(-2, 1 << 40)),
+    st.tuples(st.just("se"), st.integers(-(1 << 40), 1 << 40)),
+    st.tuples(st.just("block"), _writer_blocks()),
+    st.tuples(st.just("block"), _writer_blocks(over_limit=True)),
+    st.tuples(st.just("getvalue")),
+)
+
+
+def _model_encode_block(levels, writer) -> int:
+    if levels.shape[0] != levels.shape[1] or np.abs(levels).max() > LEVEL_LIMIT:
+        raise EncodeError("rejected")
+    return reference_codec.encode_block(levels, writer)
+
+
+def _apply(op, args, writer, encode):
+    if op == "block":
+        return encode(args[0], writer)
+    return getattr(writer, f"write_{op}")(*args)
+
+
+@pytest.mark.parametrize("bound", [None, 1, 2, 7])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(_WRITER_OPS, min_size=8, max_size=60))
+def test_packing_writer_matches_a_string_writer(bound, ops):
+    # After every step the writer's tell() and bytes equal the model's; the
+    # bytes are read from a copy, so the writer's pending codes stay as they
+    # are.  A write that raises changes neither.  A pack takes at most the
+    # bound plus one record's codes.
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            mp.setattr(entropy, "PACK_CODES", bound)
+        packs = []
+        real_pack = BitWriter._pack
+        mp.setattr(BitWriter, "_pack", lambda w: (packs.append(w._count), real_pack(w)))
+        writer, model = BitWriter(), _StringWriter()
+        largest = 3    # a 130-bit field is three codes
+        for op, *args in ops:
+            if op == "getvalue":
+                assert writer.getvalue() == model.getvalue()
+                continue
+            if op == "block":
+                largest = max(largest, args[0].size)
+            before = writer.tell(), copy.deepcopy(writer).getvalue()
+            try:
+                want = _apply(op, args, model, _model_encode_block)
+            except EncodeError:
+                with pytest.raises(EncodeError):
+                    _apply(op, args, writer, encode_block)
+                assert (writer.tell(), copy.deepcopy(writer).getvalue()) == before
+                continue
+            assert _apply(op, args, writer, encode_block) == want
+            assert writer.tell() == model.tell()
+            assert copy.deepcopy(writer).getvalue() == model.getvalue()
+            assert writer._count < entropy.PACK_CODES
+        assert writer.getvalue() == model.getvalue()
+        assert max(packs, default=0) <= entropy.PACK_CODES + largest

@@ -758,7 +758,7 @@ def test_steady_state_round_trip_takes_few_page_faults(freed_mib):
 
 
 def test_no_transform_or_quantizer_call_exceeds_the_batch_bound(monkeypatch):
-    # A 512x512 picture at CU 8 holds 786,432 levels, three times the bound:
+    # A 512x512 picture at CU 8 holds 786,432 levels, 48 times the bound:
     # its intra frame is coded one anti-diagonal at a time and its inter frame
     # in raster runs of at most RECONSTRUCT_LEVELS levels.
     sizes = {"forward": [], "rdoq_quantize": []}
