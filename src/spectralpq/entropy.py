@@ -25,12 +25,6 @@ MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
 _MAX_CODE_BITS = 2 * MAX_PREFIX_ZEROS + 1
 WINDOW_BITS = 1 << 14   # widest level window; its 11 jump tables take 1.4 MiB
 PACK_CODES = 1 << 13    # pending codes that make a BitWriter pack
-# The code length of each level magnitude up to LEVEL_LIMIT, 2 * bit_length + 1:
-# magnitude 0, then the 2^(b-1) magnitudes of each bit length b.
-_LEVEL_LENGTHS = np.repeat(
-    np.arange(1, 2 * LEVEL_LIMIT.bit_length() + 2, 2, dtype=np.uint8),
-    [1] + [1 << b for b in range(LEVEL_LIMIT.bit_length())],
-)[: LEVEL_LIMIT + 1]
 
 
 class BitWriter:
@@ -402,6 +396,9 @@ def level_bits(levels):
     return bits if bits.ndim else int(bits)
 
 
+_LEVEL_LENGTHS = level_bits(np.arange(LEVEL_LIMIT + 1)).astype(np.uint8)   # by magnitude
+
+
 @lru_cache(maxsize=None)
 def zigzag_order(n: int) -> tuple[tuple[int, int], ...]:
     """Classic diagonal scan from DC: even diagonals run up-right, odd down-left."""
@@ -446,18 +443,14 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
     n = levels.shape[0]
     if levels.shape != (n, n):
         raise EncodeError(f"level block must be square, got {levels.shape}")
-    scan = levels.ravel()[_zigzag_flat(n)]
-    nonzero = scan != 0
-    token = n * n - int(nonzero[::-1].argmax())   # n * n when all are zero
-    if not nonzero[token - 1]:
-        token = 0
-    prefix = scan[:token].astype(np.int64, copy=False)
-    if token and (prefix.max() > LEVEL_LIMIT or prefix.min() < -LEVEL_LIMIT):
+    coded = scan_block(levels)
+    prefix = coded.scan[: coded.last_significant + 1]
+    if prefix.size and (prefix.max() > LEVEL_LIMIT or prefix.min() < -LEVEL_LIMIT):
         bad = int(np.abs(prefix).max())
         raise EncodeError(f"level magnitude {bad} exceeds limit {LEVEL_LIMIT}")
     start = writer.tell()
-    writer.write_uint(token, _token_bits(n))
-    if token:
+    writer.write_uint(prefix.size, _token_bits(n))
+    if prefix.size:
         magnitude = np.abs(prefix)
         lengths = _LEVEL_LENGTHS.take(magnitude)
         magnitude <<= 1

@@ -199,12 +199,6 @@ def test_encode_block_matches_python_int_packer(n, offset):
         assert nbits == block_bits(levels)
 
 
-def test_level_length_table_is_level_bits():
-    magnitudes = np.arange(LEVEL_LIMIT + 1)
-    assert entropy._LEVEL_LENGTHS.dtype == np.uint8
-    assert np.array_equal(entropy._LEVEL_LENGTHS, level_bits(magnitudes))
-
-
 def test_writer_packs_across_the_default_bound(monkeypatch):
     # Dense 32x32 blocks between header-like fields fill PACK_CODES several
     # times over; the packed stream equals the eager writer's.
