@@ -81,9 +81,12 @@ class BitWriter:
             self._pack()
 
     def _reserve(self, size: int) -> None:
+        # Doubling, to at most room for PACK_CODES and a 32 x 32 block's levels
+        # unless a record needs more: the buffers stay under glibc's 128 KiB
+        # mmap threshold.
         for name in ("_values", "_lengths"):
             old = getattr(self, name)
-            new = np.empty(max(size, 2 * len(old)), dtype=old.dtype)
+            new = np.empty(max(size, min(2 * len(old), PACK_CODES + 1024)), dtype=old.dtype)
             new[: self._count] = old[: self._count]
             setattr(self, name, new)
 
