@@ -429,11 +429,19 @@ class CodedBlock:
     last_significant: int
 
 
-def scan_block(levels: np.ndarray) -> CodedBlock:
+def _scan(levels: np.ndarray) -> tuple[np.ndarray, int]:
+    """A square block's zigzag scan, in the block's dtype, and its token: the
+    number of levels up to the last nonzero one."""
     n = levels.shape[0]
-    scan = levels.reshape(-1)[_zigzag_flat(n)].astype(np.int64)
-    nz = np.nonzero(scan)[0]
-    return CodedBlock(scan, int(nz[-1]) if nz.size else -1)
+    scan = levels.reshape(-1)[_zigzag_flat(n)]
+    nonzero = scan != 0
+    token = n * n - int(nonzero[::-1].argmax())   # n * n when all are zero
+    return scan, token if nonzero[token - 1] else 0
+
+
+def scan_block(levels: np.ndarray) -> CodedBlock:
+    scan, token = _scan(levels)
+    return CodedBlock(scan.astype(np.int64), token - 1)
 
 
 def _token_bits(n: int) -> int:
@@ -446,15 +454,14 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
     n = levels.shape[0]
     if levels.shape != (n, n):
         raise EncodeError(f"level block must be square, got {levels.shape}")
-    coded = scan_block(levels)
-    prefix = coded.scan[: coded.last_significant + 1]
-    if prefix.size and (prefix.max() > LEVEL_LIMIT or prefix.min() < -LEVEL_LIMIT):
-        bad = int(np.abs(prefix).max())
-        raise EncodeError(f"level magnitude {bad} exceeds limit {LEVEL_LIMIT}")
+    scan, token = _scan(levels)
+    prefix = scan[:token].astype(np.int64)
+    magnitude = np.abs(prefix)
+    if token and magnitude.max() > LEVEL_LIMIT:
+        raise EncodeError(f"level magnitude {int(magnitude.max())} exceeds limit {LEVEL_LIMIT}")
     start = writer.tell()
-    writer.write_uint(prefix.size, _token_bits(n))
-    if prefix.size:
-        magnitude = np.abs(prefix)
+    writer.write_uint(token, _token_bits(n))
+    if token:
         lengths = _LEVEL_LENGTHS.take(magnitude)
         magnitude <<= 1
         magnitude |= prefix <= 0     # the signed map plus one: +k -> 2k, -k -> 2k + 1
