@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecodeError, EncodeError
 
@@ -146,7 +147,6 @@ class BitReader:
         self._data = data
         self._pos = 0
         self._total = 8 * len(data)
-        self._window = None    # a BlockParser's last window, reused by read_levels
 
     def tell(self) -> int:
         return self._pos
@@ -189,44 +189,6 @@ class BitReader:
     def read_se(self) -> int:
         v = self.read_ue()
         return (v + 1) >> 1 if v & 1 else -(v >> 1)
-
-    def read_levels(self, count: int) -> np.ndarray:
-        """The next `count` coefficient levels (signed exp-Golomb, magnitude
-        at most LEVEL_LIMIT).
-
-        Values, final position and every DecodeError, text and bit offset,
-        are those of a read_se loop that checks each level against
-        LEVEL_LIMIT.  Codes are taken a window at a time through its
-        tables; a code no window can take is malformed, and read_se raises
-        its error.
-        """
-        parts = [np.zeros(0, dtype=np.int64)]
-        while count:
-            pos = self._pos
-            # The rest of the stream, capped, and no more than `count`
-            # longest codes need: room for one longest code at least, so a
-            # window that takes no code means the code at pos is malformed.
-            width = min(self._total - pos, WINDOW_BITS, count * _MAX_CODE_BITS)
-            window = self._window    # a block's first window, built by a BlockParser
-            if window is None or window.start != pos:
-                window = _Window(self._data, pos, width)
-            taken = window.skip(0, count)[1]
-            if not taken:
-                break
-            _, ends, levels = window.levels([0], [taken])
-            ok = _count_within_limit(levels)
-            self._pos = pos + int(ends[min(ok, taken - 1)])
-            if ok < taken:
-                raise DecodeError(
-                    f"level magnitude {abs(int(levels[ok]))} exceeds limit "
-                    f"at bit offset {self._pos}"
-                )
-            parts.append(levels)
-            count -= taken
-        if count:
-            self.read_se()
-            raise AssertionError(f"read_se took a code at bit offset {pos} that no window took")
-        return np.concatenate(parts)
 
 
 class _Window:
@@ -311,28 +273,35 @@ class _Window:
 
 
 class BlockParser:
-    """Reads coded n x n blocks, in stream order, into rows of level stacks.
+    """Reads coded n x n blocks, in stream order, into the rows of a level
+    buffer.
 
     read() takes a block's token with the reader and skips its levels by
-    binary lifting in the current window, or in a fresh one that starts at
-    the block's first level.  The levels of a window's blocks are extracted
-    together, when the parse leaves the window or at flush().  A caller
-    that raises a fault of its own calls flush() first: a level over the
-    limit in an earlier block is the first error in stream order.
+    binary lifting in the current window, or else in fresh windows: one at
+    the block's first level and, while the block goes on, one where the
+    codes of the last stopped, which serves only the rest of that block.
+    Each window's part of a block is recorded with its offset in the scan,
+    and the levels of a window's records are extracted together, when the
+    parse leaves the window or at flush().  A caller that raises a fault of
+    its own calls flush() first: a level over the limit in an earlier block
+    is the first error in stream order.
     """
 
-    def __init__(self, reader: BitReader, n: int):
-        self._reader, self._n = reader, n
+    def __init__(self, reader: BitReader, n: int, out: np.ndarray):
+        self._reader, self._n, self._out = reader, n, out
+        # raster[row * n*n + i]: the index in `out` of the row's i-th level in
+        # scan order, with one row more; _scans[place]: its n*n entries from place.
+        raster = np.add.outer(np.arange(len(out) + 1) * n * n, _zigzag_flat(n), dtype=np.int32)
+        self._scans = sliding_window_view(raster.ravel(), n * n)
         self._window = None
-        self._out = None
-        self._pending = ([], [], [])    # starts in the window, counts, rows
+        self._pending = []    # (start in the window, codes, scan place) per record
 
-    def read(self, out: np.ndarray, row: int) -> bool:
+    def read(self, row: int) -> bool:
         """Parse one block, whose levels go to out[row], a zero row of n*n
         levels in raster order, by the next flush().  False, with the reader
         back at the block's token, when the tables cannot take the block (a
-        token over n*n, a malformed code, a code past the end, or a block
-        longer than a window); decode_block must then parse it."""
+        token over n*n, a malformed code or a code past the end);
+        decode_block must then parse it."""
         reader, n = self._reader, self._n
         start = reader.tell()
         token = reader.read_uint(_token_bits(n))
@@ -341,52 +310,49 @@ class BlockParser:
             return False
         if not token:
             return True
-        pos = reader.tell()
-        window = self._window
+        pos, window = reader.tell(), self._window
+        place, left = row * n * n, token    # the next level's scan place, the levels to go
         end = taken = 0
+        width = WINDOW_BITS
         if window is not None and window.start <= pos < window.start + window.width:
-            end, taken = window.skip(pos - window.start, token)
-        if taken < token and (window is None or window.start != pos):
+            end, taken = window.skip(pos - window.start, left)
+        while taken < left:
+            # A window that starts at pos is fresh: it holds a longest code
+            # unless the stream ends, so taking none means a malformed code.
+            if window is not None and window.start == pos:
+                if not taken:
+                    reader._pos = start
+                    return False
+                self._pending.append((0, taken, place))
+                place, left, pos = place + taken, left - taken, pos + end
+                # The next window serves only the block's rest: no wider than its longest codes.
+                width = min(WINDOW_BITS, left * _MAX_CODE_BITS)
             self.flush()
-            window = _Window(reader._data, pos, min(reader._total - pos, WINDOW_BITS))
-            self._window = reader._window = window
-            end, taken = window.skip(0, token)
-        if taken < token:
-            reader._pos = start
-            return False
-        if out is not self._out:
-            self.flush()
-            self._out = out
-        starts, counts, rows = self._pending
-        starts.append(pos - window.start)
-        counts.append(token)
-        rows.append(row)
+            window = self._window = _Window(reader._data, pos, min(reader._total - pos, width))
+            end, taken = window.skip(0, left)
+        self._pending.append((pos - window.start, left, place))
         reader._pos = window.start + end
+        if left < token:    # the block went on past its first window
+            self.flush()
+            self._window = None
         return True
 
     def flush(self) -> None:
         """Extract the levels of every block read so far, in one step, into
         their rows; a level over LEVEL_LIMIT raises the DecodeError that a
         code-by-code parse would."""
-        starts, counts, rows = self._pending
-        if not starts:
+        if not self._pending:
             return
-        self._pending = ([], [], [])
+        starts, counts, places = zip(*self._pending)
+        self._pending = []
         mask, ends, levels = self._window.levels(starts, counts)
-        ok = _count_within_limit(levels)
-        if ok < len(levels):
+        over = np.flatnonzero(np.abs(levels) > LEVEL_LIMIT)
+        if over.size:
             raise DecodeError(
-                f"level magnitude {abs(int(levels[ok]))} exceeds limit "
-                f"at bit offset {self._window.start + int(ends[ok])}"
+                f"level magnitude {abs(int(levels[over[0]]))} exceeds limit "
+                f"at bit offset {self._window.start + int(ends[over[0]])}"
             )
-        flat = np.asarray(rows)[:, None] * self._n ** 2 + _zigzag_flat(self._n)[: mask.shape[1]]
-        np.put(self._out, flat[mask], levels)
-
-
-def _count_within_limit(levels: np.ndarray) -> int:
-    """The number of leading levels of magnitude at most LEVEL_LIMIT."""
-    over = np.flatnonzero(np.abs(levels) > LEVEL_LIMIT)
-    return int(over[0]) if over.size else len(levels)
+        np.put(self._out, self._scans[np.array(places), : mask.shape[1]][mask], levels)
 
 
 def level_bits(levels):
@@ -470,14 +436,21 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
 
 
 def decode_block(reader: BitReader, n: int) -> np.ndarray:
-    """Exact inverse of encode_block."""
+    """Exact inverse of encode_block, code by code: the token, then one
+    read_se per level, each checked against LEVEL_LIMIT."""
     token = reader.read_uint(_token_bits(n))
     if token > n * n:
         raise DecodeError(
             f"last-significant token {token} exceeds {n * n} at bit offset {reader.tell()}"
         )
     levels = np.zeros(n * n, dtype=np.int64)
-    levels[_zigzag_flat(n)[:token]] = reader.read_levels(token)
+    for i in _zigzag_flat(n)[:token].tolist():
+        level = reader.read_se()
+        if abs(level) > LEVEL_LIMIT:
+            raise DecodeError(
+                f"level magnitude {abs(level)} exceeds limit at bit offset {reader.tell()}"
+            )
+        levels[i] = level
     return levels.reshape(n, n)
 
 

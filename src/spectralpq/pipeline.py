@@ -397,7 +397,7 @@ def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, 
                     )
                 pred.append(_predict(None, prev_recon, cu, mv, None))
             for row in range(n * len(cus), n * len(cus) + n):
-                if not parser.read(rows, row):
+                if not parser.read(row):
                     rows[row] = decode_block(reader, size).ravel()
             cus.append(cu)
             qps.append(cu_qps)
@@ -420,10 +420,10 @@ def decode_sequence(data: bytes) -> list:
     tree = partition(header, cu_size)
     spec = make_spec(cu_size, "DCT", bit_depth)
 
-    parser = BlockParser(reader, cu_size)
     batches = _batches(tree, wavefront=False)
     # The level rows of one batch, reused by every batch of every frame.
     levels = np.empty((len(PLANE_ORDER) * len(batches[0]), cu_size * cu_size), dtype=np.int32)
+    parser = BlockParser(reader, cu_size, levels)
     frames = []
     prev_recon = None
     try:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import LEVEL_LIMIT, level_bits
+from .entropy import LEVEL_LIMIT, _LEVEL_LENGTHS, level_bits
 from .errors import ConfigurationError
 from .frames import BIT_DEPTHS, _is_integer
 from .transform import coefficient_scale
@@ -30,7 +30,6 @@ M_TABLE = (26214, 23302, 20560, 18396, 16384, 14564)
 S_TABLE = (40, 45, 51, 57, 64, 72)
 
 BLOCK_SIZES = (4, 8, 16, 32)
-_LEVEL_BITS = level_bits(np.arange(LEVEL_LIMIT + 1)).astype(np.float64)  # RDOQ rate per magnitude
 
 
 @dataclass(frozen=True)
@@ -157,9 +156,10 @@ def rdoq_quantize(coeffs: np.ndarray, qp: int, n: int, cfg: RdoqConfig) -> np.nd
     shift = int(np.log2(n)) - 1
 
     def cost(level):
-        # Candidates are non-negative: urq_dequantize without its sign.
+        # Candidates are non-negative: urq_dequantize without its sign.  The
+        # code lengths are uint8, so an int lam is made a float first.
         err = (ax - ((level * p.s << p.period) >> shift)).astype(np.float64)
-        return err * err + cfg.lam * _LEVEL_BITS[level]
+        return err * err + float(cfg.lam) * _LEVEL_LENGTHS[level]
 
     c0, c1, c2 = cost(0), cost(l1), cost(l1 + 1)
     # The first minimum: l1 + 1 only if strictly cheaper than l1, 0 on a tie.

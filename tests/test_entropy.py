@@ -12,6 +12,7 @@ from spectralpq.entropy import (
     WINDOW_BITS,
     BitReader,
     BitWriter,
+    BlockParser,
     _token_bits,
     block_bits,
     decode_block,
@@ -269,9 +270,7 @@ def test_prefix_limit_independent_of_alignment(align, zeros):
     else:
         with pytest.raises(DecodeError, match=f"value too large at bit offset {align}$"):
             reader.read_ue()
-    assert _parse(BitReader.read_levels, data, align, 1) == _parse(
-        _reference_levels, data, align, 1
-    )
+    _assert_block_parses_as_scalar_parse(_one_level_block(align, zeros), align + 1, 8)
 
 
 @pytest.mark.parametrize("align", range(8))
@@ -287,10 +286,20 @@ def test_overlong_prefix_error_independent_of_alignment(align, zeros):
     with pytest.raises(DecodeError) as excinfo:
         reader.read_ue()
     assert str(excinfo.value) == expected
-    assert _parse(BitReader.read_levels, data, align, 1) == (expected, align)
+    block = _one_level_block(align, zeros)
+    assert _parse(_parser_decode_block, block, align + 1, 8) == (
+        f"{problem} at bit offset {align + 8}", align + 8
+    )
 
 
-# The scalar parse that BitReader.read_levels and decode_block must match.
+def _one_level_block(align: int, zeros: int) -> bytes:
+    """align + 1 padding bits, then an 8x8 block of token 1 whose level code,
+    `zeros` zeros, a 1 and `zeros` zeros, starts at bit align + 8: bit
+    `align` of the stream's second byte."""
+    return _bytes_of("1" * (align + 1) + f"{1:07b}" + "0" * zeros + "1" + "0" * zeros + "1" * 16)
+
+
+# The scalar parse that the block parser and decode_block must match.
 def _reference_levels(reader: BitReader, count: int) -> np.ndarray:
     levels = []
     for _ in range(count):
@@ -324,6 +333,29 @@ def _parse(parse, data: bytes, skip: int, arg: int):
     except DecodeError as exc:
         result = str(exc)
     return result, reader.tell()
+
+
+def _parser_decode_block(reader: BitReader, n: int) -> np.ndarray:
+    """One block by the decoder's path: BlockParser.read, decode_block when
+    the parser declines the block, then flush."""
+    out = np.zeros((1, n * n), dtype=np.int32)
+    parser = BlockParser(reader, n, out)
+    if not parser.read(0):
+        out[0] = decode_block(reader, n).ravel()
+    parser.flush()
+    return out.reshape(n, n)
+
+
+def _assert_block_parses_as_scalar_parse(data: bytes, skip: int, n: int):
+    # The decoder's path gives the scalar parse's levels and end, or its
+    # error text (where it leaves the reader after an error is no contract);
+    # decode_block alone gives both, error or not.
+    want, end = _parse(_reference_decode_block, data, skip, n)
+    got, got_end = _parse(_parser_decode_block, data, skip, n)
+    assert got == want
+    assert got_end == end or isinstance(want, str)
+    assert _parse(decode_block, data, skip, n) == (want, end)
+    return want
 
 
 def _truncated(data: bytes, cut_bits: int) -> bytes:
@@ -361,8 +393,7 @@ def raw_blocks(draw, sizes=(8, 16, 32)):
 @settings(max_examples=60, deadline=None)
 @given(raw_blocks())
 def test_decode_block_matches_scalar_parse(block):
-    data, skip, n = block
-    assert _parse(decode_block, data, skip, n) == _parse(_reference_decode_block, data, skip, n)
+    _assert_block_parses_as_scalar_parse(*block)
 
 
 @settings(max_examples=10, deadline=None)
@@ -370,10 +401,40 @@ def test_decode_block_matches_scalar_parse(block):
 def test_decode_block_matches_scalar_parse_at_every_truncation(block):
     data, skip, n = block
     for cut_bits in range(8 * len(data) + 1):
-        chopped = _truncated(data, cut_bits)
-        assert _parse(decode_block, chopped, skip, n) == _parse(
-            _reference_decode_block, chopped, skip, n
-        )
+        _assert_block_parses_as_scalar_parse(_truncated(data, cut_bits), skip, n)
+
+
+@pytest.mark.parametrize("case", ["whole", "over_limit_in_last_window", "cut_in_second_window"])
+def test_block_over_three_windows_matches_scalar_parse(monkeypatch, case):
+    # 1024 codes of 33 bits: fresh windows of WINDOW_BITS take 496 codes, 496
+    # and the last 32, each starting where the codes of the one before stop.
+    levels = LEVEL_LIMIT * np.random.default_rng(32).choice([-1, 1], 32 * 32)
+    if case == "over_limit_in_last_window":
+        levels[1010] = -LEVEL_LIMIT - 1
+    w = BitWriter()
+    w.write_uint(0, 3)
+    w.write_uint(32 * 32, _token_bits(32))
+    for level in levels.tolist():
+        w.write_se(level)
+    data = w.getvalue()
+    first = 3 + _token_bits(32)
+    if case == "cut_in_second_window":
+        data = _truncated(data, first + WINDOW_BITS + WINDOW_BITS // 2)
+    windows = []
+    real_window = entropy._Window.__init__
+
+    def recording_window(self, data, start, width):
+        windows.append((start, width))
+        real_window(self, data, start, width)
+
+    monkeypatch.setattr(entropy._Window, "__init__", recording_window)
+    outcome = _assert_block_parses_as_scalar_parse(data, 3, 32)
+    assert str(outcome).startswith({"whole": "[[", "over_limit_in_last_window": "level magnitude",
+                                    "cut_in_second_window": "bitstream truncated"}[case])
+    assert len(windows) == 3
+    starts = [start for start, _ in windows]
+    assert starts == [first, first + 496 * 33, starts[1] + windows[1][1] // 33 * 33]
+    assert all(width <= min(8 * len(data) - start, WINDOW_BITS) for start, width in windows)
 
 
 def _clip_stream() -> bytes:

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_codec
 import test_reference_codec
 from spectralpq import entropy
 from spectralpq import frames as frames_mod
 from spectralpq import pipeline
 from spectralpq.corpus import noise_patches, static_gradient
 from reference_codec import reference_decode
-from spectralpq.entropy import LEVEL_LIMIT, BitWriter
+from spectralpq.entropy import LEVEL_LIMIT, WINDOW_BITS, BitWriter
 from spectralpq.errors import ConfigurationError, DecodeError
 from spectralpq.frames import PLANE_ORDER, Frame
 from spectralpq.metrics import sequence_psnr
@@ -778,16 +779,47 @@ def test_no_transform_or_quantizer_call_exceeds_the_batch_bound(monkeypatch):
     assert len(sizes["forward"]) == (64 + 64 - 1) + -(-64 * 64 // batch)
 
 
-def test_block_longer_than_a_window_builds_its_window_once(monkeypatch):
-    # The fallback's decode_block reads the block's levels from the window the
-    # parser built at its first level instead of building it again.
-    built = []
-    real = entropy._Window.__init__
+def test_blocks_longer_than_a_window_stay_in_the_parser(monkeypatch):
+    # The QP 51 stream's +-LEVEL_LIMIT blocks take 33 bits a level, up to
+    # three windows a block.  The parser takes every block: each window
+    # starts at a block's first level or where the codes of that block in
+    # the window before stop, stays within WINDOW_BITS and is built once.
+    def no_decode_block(reader, n):
+        raise AssertionError(f"decode_block called at bit offset {reader.tell()}")
+
+    monkeypatch.setattr(pipeline, "decode_block", no_decode_block)
+    windows = []
+    real_window = entropy._Window.__init__
 
     def recording_window(self, data, start, width):
-        built.append((start, width))
-        real(self, data, start, width)
+        windows.append((start, width))
+        real_window(self, data, start, width)
 
     monkeypatch.setattr(entropy._Window, "__init__", recording_window)
+    blocks = []    # (first level, code ends) of each coded block, from the reference decoder
+    real_block = reference_codec.decode_block
+
+    def recording_block(reader, n):
+        first = reader.tell() + entropy._token_bits(n)
+        levels = real_block(reader, n)
+        scan = levels.ravel()[entropy._zigzag_flat(n)]
+        token = int(np.flatnonzero(scan)[-1]) + 1 if scan.any() else 0
+        ends = (first + np.cumsum(entropy.level_bits(scan[:token]))).tolist()
+        assert (ends or [first])[-1] == reader.tell()
+        if ends:
+            blocks.append((first, ends))
+        return levels
+
+    monkeypatch.setattr(reference_codec, "decode_block", recording_block)
     test_reference_codec.test_level_limit_stream_at_qp_51_decodes_as_reference()
-    assert len(built) == len(set(built)) == 52
+    firsts = {first for first, _ in blocks}
+    assert len(windows) == len(set(windows))
+    assert all(width <= WINDOW_BITS for _, width in windows)
+    assert windows[0][0] in firsts
+    continued = 0
+    for (start, _), (before, width) in zip(windows[1:], windows):
+        if start not in firsts:
+            ends = next(ends for first, ends in blocks if first <= before < ends[-1])
+            assert start == max(end for end in ends if end <= before + width)
+            continued += 1
+    assert continued == 32    # two for each of the 16 blocks of 1024 levels

@@ -195,3 +195,11 @@ def test_rdoq_ties_break_toward_the_smaller_level():
         assert got[0, 0] == level
         assert np.array_equal(got, reference_codec.rdoq_quantize(np.array([[x]]), 4, 4,
                                                                  RdoqConfig(lam)))
+
+
+def test_rdoq_int_multiplier_acts_as_its_float():
+    # The rate table is uint8 code lengths; an int lam must not stay integer.
+    coeffs = np.random.default_rng(6).integers(-70000, 70001, (8, 8))
+    for lam in (3, 1024, 10**6):
+        assert np.array_equal(rdoq_quantize(coeffs, 4, 8, RdoqConfig(lam)),
+                              rdoq_quantize(coeffs, 4, 8, RdoqConfig(float(lam))))
