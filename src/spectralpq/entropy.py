@@ -23,7 +23,6 @@ from .errors import DecodeError, EncodeError
 
 LEVEL_LIMIT = 1 << 15
 MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
-_MAX_CODE_BITS = 2 * MAX_PREFIX_ZEROS + 1
 WINDOW_BITS = 1 << 14   # widest level window; its 11 jump tables take 1.4 MiB
 PACK_CODES = 1 << 13    # pending codes that make a BitWriter pack
 
@@ -277,14 +276,14 @@ class BlockParser:
     buffer.
 
     read() takes a block's token with the reader and skips its levels by
-    binary lifting in the current window, or else in fresh windows: one at
-    the block's first level and, while the block goes on, one where the
-    codes of the last stopped, which serves only the rest of that block.
-    Each window's part of a block is recorded with its offset in the scan,
-    and the levels of a window's records are extracted together, when the
-    parse leaves the window or at flush().  A caller that raises a fault of
-    its own calls flush() first: a level over the limit in an earlier block
-    is the first error in stream order.
+    binary lifting in windows that tile the stream: the current window
+    takes what it can of a block, and the parse goes on in a fresh window
+    at the first code the last one could not take.  Each window's part of
+    a block is recorded with its offset in the scan, and the levels of a
+    window's records are extracted together, when the parse leaves the
+    window or at flush().  A caller that raises a fault of its own calls
+    flush() first: a level over the limit in an earlier block is the first
+    error in stream order.
     """
 
     def __init__(self, reader: BitReader, n: int, out: np.ndarray):
@@ -305,36 +304,26 @@ class BlockParser:
         reader, n = self._reader, self._n
         start = reader.tell()
         token = reader.read_uint(_token_bits(n))
-        if token > n * n:
-            reader._pos = start
-            return False
-        if not token:
-            return True
         pos, window = reader.tell(), self._window
         place, left = row * n * n, token    # the next level's scan place, the levels to go
-        end = taken = 0
-        width = WINDOW_BITS
-        if window is not None and window.start <= pos < window.start + window.width:
+        while left and token <= n * n:
+            if window is None or not window.start <= pos < window.start + window.width:
+                self.flush()
+                window = self._window = _Window(reader._data, pos, min(reader._total - pos, WINDOW_BITS))
             end, taken = window.skip(pos - window.start, left)
-        while taken < left:
-            # A window that starts at pos is fresh: it holds a longest code
-            # unless the stream ends, so taking none means a malformed code.
-            if window is not None and window.start == pos:
-                if not taken:
-                    reader._pos = start
-                    return False
-                self._pending.append((0, taken, place))
-                place, left, pos = place + taken, left - taken, pos + end
-                # The next window serves only the block's rest: no wider than its longest codes.
-                width = min(WINDOW_BITS, left * _MAX_CODE_BITS)
-            self.flush()
-            window = self._window = _Window(reader._data, pos, min(reader._total - pos, width))
-            end, taken = window.skip(0, left)
-        self._pending.append((pos - window.start, left, place))
-        reader._pos = window.start + end
-        if left < token:    # the block went on past its first window
-            self.flush()
-            self._window = None
+            if taken:
+                self._pending.append((pos - window.start, taken, place))
+                pos, place, left = window.start + end, place + taken, left - taken
+            elif window.start == pos:
+                # A window that starts at a code holds a longest code unless
+                # the stream ends, so taking none of it means a malformed code.
+                break
+            else:
+                window = None    # go on in a fresh window at the code it cannot take
+        if left:    # a token over n*n or a malformed code
+            reader._pos = start
+            return False
+        reader._pos = pos
         return True
 
     def flush(self) -> None:

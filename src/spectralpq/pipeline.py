@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import BitReader, BitWriter, BlockParser, decode_block, encode_block
+from .entropy import BitReader, BitWriter, BlockParser, _token_bits, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
 from .frames import (
     BIT_DEPTHS, CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane,
@@ -372,7 +372,7 @@ def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, 
     # Each CU takes at least its QP fields and block tokens.  A frame that the
     # rest of the stream cannot hold ends in a DecodeError, so it is parsed
     # without a picture: memory stays in proportion to the input.
-    cu_bits = n * (QP_FIELD_BITS + (size * size).bit_length())
+    cu_bits = n * (QP_FIELD_BITS + _token_bits(size))
     fits = stream_bits - reader.tell() >= tree.grid_shape[0] * tree.grid_shape[1] * cu_bits
     recon = np.zeros((n, tree.height, tree.width), dtype=PLANE_DTYPE) if fits else None
     grid = iter(tree)

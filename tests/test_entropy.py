@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_codec
-from spectralpq import entropy
+from spectralpq import entropy, pipeline
 from spectralpq.entropy import (
     LEVEL_LIMIT,
     WINDOW_BITS,
@@ -508,15 +508,46 @@ def test_mangled_multi_window_stream_decodes_as_with_scalar_parse(cu_size, data)
     )
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(65, 4096),
+    raw_blocks(),
+    st.integers(128, 8 * len(_CLIP) - 1),
+    st.sampled_from(["flip", "zeros"]),
+    st.integers(1, 80),
+)
+def test_windows_of_any_width_parse_as_scalar_parse(window_bits, block, offset, kind, run):
+    # Blocks straddle window ends at every width down to 65 bits, a longest
+    # code: below that, a fresh window may not hold the code it starts at.
+    def no_decode_block(reader, n):
+        raise AssertionError(f"decode_block called at bit offset {reader.tell()}")
+
+    want = _decode_outcome(reference_codec.reference_decode, _CLIP)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy, "WINDOW_BITS", window_bits)
+        _assert_block_parses_as_scalar_parse(*block)
+        _assert_decodes_as_reference(_CLIP, offset, kind, run)
+        patch.setattr(pipeline, "decode_block", no_decode_block)
+        got = _decode_outcome(decode_sequence, _CLIP)
+    assert all(np.array_equal(a, b) for fa, fb in zip(got, want) for a, b in zip(fa, fb))
+
+
 @pytest.mark.parametrize("cu_size", sorted(_NOISE))
-def test_level_windows_start_at_blocks_and_stay_within_the_cap(monkeypatch, cu_size):
+def test_level_windows_tile_the_stream(monkeypatch, cu_size):
+    # Each window starts at a level code, the first that the window before
+    # could not take, so it overlaps that window by less than a longest code
+    # (65 bits) and the stream takes at most one window per WINDOW_BITS - 64.
     stream = _NOISE[cu_size]
-    level_starts = []
+    code_starts = set()
     reference_block = reference_codec.decode_block
 
     def recording_block(reader, n):
-        level_starts.append(reader.tell() + _token_bits(n))
-        return reference_block(reader, n)
+        first = reader.tell() + _token_bits(n)
+        levels = reference_block(reader, n)
+        coded = scan_block(levels)
+        lengths = level_bits(coded.scan[: coded.last_significant + 1])
+        code_starts.update((first + np.cumsum(lengths) - lengths).tolist())
+        return levels
 
     monkeypatch.setattr(reference_codec, "decode_block", recording_block)
     want = reference_codec.reference_decode(stream)
@@ -531,9 +562,14 @@ def test_level_windows_start_at_blocks_and_stay_within_the_cap(monkeypatch, cu_s
     got = decode_sequence(stream)
     assert all(np.array_equal(a, b) for fa, fb in zip(got, want)
                for a, b in zip(fa.planes, fb.planes))
+    bits = 8 * len(stream)
     assert len(windows) > 4
-    assert {start for start, _ in windows} <= set(level_starts)
-    assert all(width <= min(8 * len(stream) - start, WINDOW_BITS) for start, width in windows)
+    assert len(windows) == len(set(windows))
+    assert {start for start, _ in windows} <= code_starts
+    assert all(width <= min(bits - start, WINDOW_BITS) for start, width in windows)
+    overlaps = [before + width - start for (start, _), (before, width) in zip(windows[1:], windows)]
+    assert max(overlaps) <= 64
+    assert len(windows) <= -(-bits // (WINDOW_BITS - 64)) + 1
 
 
 class _StringWriter:

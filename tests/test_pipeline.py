@@ -781,9 +781,10 @@ def test_no_transform_or_quantizer_call_exceeds_the_batch_bound(monkeypatch):
 
 def test_blocks_longer_than_a_window_stay_in_the_parser(monkeypatch):
     # The QP 51 stream's +-LEVEL_LIMIT blocks take 33 bits a level, up to
-    # three windows a block.  The parser takes every block: each window
-    # starts at a block's first level or where the codes of that block in
-    # the window before stop, stays within WINDOW_BITS and is built once.
+    # three windows a block.  The parser takes every block, and the windows
+    # tile the stream: each window after the first starts at the first level
+    # code that the window before does not hold whole, stays within
+    # WINDOW_BITS and is built once.
     def no_decode_block(reader, n):
         raise AssertionError(f"decode_block called at bit offset {reader.tell()}")
 
@@ -796,7 +797,7 @@ def test_blocks_longer_than_a_window_stay_in_the_parser(monkeypatch):
         real_window(self, data, start, width)
 
     monkeypatch.setattr(entropy._Window, "__init__", recording_window)
-    blocks = []    # (first level, code ends) of each coded block, from the reference decoder
+    starts, ends = [], []    # of each level code, from the reference decoder
     real_block = reference_codec.decode_block
 
     def recording_block(reader, n):
@@ -804,22 +805,18 @@ def test_blocks_longer_than_a_window_stay_in_the_parser(monkeypatch):
         levels = real_block(reader, n)
         scan = levels.ravel()[entropy._zigzag_flat(n)]
         token = int(np.flatnonzero(scan)[-1]) + 1 if scan.any() else 0
-        ends = (first + np.cumsum(entropy.level_bits(scan[:token]))).tolist()
-        assert (ends or [first])[-1] == reader.tell()
-        if ends:
-            blocks.append((first, ends))
+        lengths = entropy.level_bits(scan[:token])
+        code_ends = first + np.cumsum(lengths)
+        assert (code_ends.tolist() or [first])[-1] == reader.tell()
+        starts.extend((code_ends - lengths).tolist())
+        ends.extend(code_ends.tolist())
         return levels
 
     monkeypatch.setattr(reference_codec, "decode_block", recording_block)
     test_reference_codec.test_level_limit_stream_at_qp_51_decodes_as_reference()
-    firsts = {first for first, _ in blocks}
+    starts, ends = np.array(starts), np.array(ends)
     assert len(windows) == len(set(windows))
     assert all(width <= WINDOW_BITS for _, width in windows)
-    assert windows[0][0] in firsts
-    continued = 0
+    assert windows[0][0] == starts[0]
     for (start, _), (before, width) in zip(windows[1:], windows):
-        if start not in firsts:
-            ends = next(ends for first, ends in blocks if first <= before < ends[-1])
-            assert start == max(end for end in ends if end <= before + width)
-            continued += 1
-    assert continued == 32    # two for each of the 16 blocks of 1024 levels
+        assert start == starts[(starts >= before) & (ends > before + width)].min()
