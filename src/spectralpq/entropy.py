@@ -281,9 +281,10 @@ class BlockParser:
     at the first code the last one could not take.  Each window's part of
     a block is recorded with its offset in the scan, and the levels of a
     window's records are extracted together, when the parse leaves the
-    window or at flush().  A caller that raises a fault of its own calls
-    flush() first: a level over the limit in an earlier block is the first
-    error in stream order.
+    window or at flush().  It is the decoder's only level parser: read()
+    raises a block's own faults, and a caller flushes before it passes on
+    any DecodeError, read()'s or its own: a level over the limit in an
+    earlier block is the first error in stream order.
     """
 
     def __init__(self, reader: BitReader, n: int, out: np.ndarray):
@@ -295,41 +296,42 @@ class BlockParser:
         self._window = None
         self._pending = []    # (start in the window, codes, scan place) per record
 
-    def read(self, row: int) -> bool:
+    def read(self, row: int) -> None:
         """Parse one block, whose levels go to out[row], a zero row of n*n
-        levels in raster order, by the next flush().  False, with the reader
-        back at the block's token, when the tables cannot take the block (a
-        token over n*n, a malformed code or a code past the end);
-        decode_block must then parse it."""
+        levels in raster order, by the next flush().  A token over n*n or a
+        malformed code raises its DecodeError with the reader where a
+        code-by-code parse stops; the caller flushes before passing it on."""
         reader, n = self._reader, self._n
-        start = reader.tell()
         token = reader.read_uint(_token_bits(n))
+        if token > n * n:
+            raise DecodeError(
+                f"last-significant token {token} exceeds {n * n} at bit offset {reader.tell()}"
+            )
         pos, window = reader.tell(), self._window
         place, left = row * n * n, token    # the next level's scan place, the levels to go
-        while left and token <= n * n:
-            if window is None or not window.start <= pos < window.start + window.width:
-                self.flush()
-                window = self._window = _Window(reader._data, pos, min(reader._total - pos, WINDOW_BITS))
-            end, taken = window.skip(pos - window.start, left)
-            if taken:
-                self._pending.append((pos - window.start, taken, place))
-                pos, place, left = window.start + end, place + taken, left - taken
-            elif window.start == pos:
-                # A window that starts at a code holds a longest code unless
-                # the stream ends, so taking none of it means a malformed code.
-                break
-            else:
-                window = None    # go on in a fresh window at the code it cannot take
-        if left:    # a token over n*n or a malformed code
-            reader._pos = start
-            return False
+        while left:
+            if window is not None and window.start <= pos < window.start + window.width:
+                end, taken = window.skip(pos - window.start, left)
+                if taken:
+                    self._pending.append((pos - window.start, taken, place))
+                    pos, place, left = window.start + end, place + taken, left - taken
+                    continue
+            # Go on in a fresh window at the code the current one cannot take.
+            # It holds a longest code unless the stream ends, so taking none
+            # of it means a malformed code, whose error read_ue raises.
+            fresh = _Window(reader._data, pos, min(reader._total - pos, WINDOW_BITS))
+            if not fresh.skip(0, 1)[1]:
+                reader._pos = pos
+                reader.read_ue()
+                raise AssertionError(f"a fresh window missed the code at bit offset {pos}")
+            self.flush()
+            window = self._window = fresh
         reader._pos = pos
-        return True
 
     def flush(self) -> None:
         """Extract the levels of every block read so far, in one step, into
         their rows; a level over LEVEL_LIMIT raises the DecodeError that a
-        code-by-code parse would."""
+        code-by-code parse would, with the reader at the end of its code."""
         if not self._pending:
             return
         starts, counts, places = zip(*self._pending)
@@ -337,9 +339,9 @@ class BlockParser:
         mask, ends, levels = self._window.levels(starts, counts)
         over = np.flatnonzero(np.abs(levels) > LEVEL_LIMIT)
         if over.size:
+            self._reader._pos = end = self._window.start + int(ends[over[0]])
             raise DecodeError(
-                f"level magnitude {abs(int(levels[over[0]]))} exceeds limit "
-                f"at bit offset {self._window.start + int(ends[over[0]])}"
+                f"level magnitude {abs(int(levels[over[0]]))} exceeds limit at bit offset {end}"
             )
         np.put(self._out, self._scans[np.array(places), : mask.shape[1]][mask], levels)
 
@@ -425,22 +427,15 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
 
 
 def decode_block(reader: BitReader, n: int) -> np.ndarray:
-    """Exact inverse of encode_block, code by code: the token, then one
-    read_se per level, each checked against LEVEL_LIMIT."""
-    token = reader.read_uint(_token_bits(n))
-    if token > n * n:
-        raise DecodeError(
-            f"last-significant token {token} exceeds {n * n} at bit offset {reader.tell()}"
-        )
-    levels = np.zeros(n * n, dtype=np.int64)
-    for i in _zigzag_flat(n)[:token].tolist():
-        level = reader.read_se()
-        if abs(level) > LEVEL_LIMIT:
-            raise DecodeError(
-                f"level magnitude {abs(level)} exceeds limit at bit offset {reader.tell()}"
-            )
-        levels[i] = level
-    return levels.reshape(n, n)
+    """Exact inverse of encode_block: BlockParser's parse of one block, which
+    fails as a code-by-code parse would and leaves the reader where it stops."""
+    out = np.zeros((1, n * n), dtype=np.int64)
+    parser = BlockParser(reader, n, out)
+    try:
+        parser.read(0)
+    finally:
+        parser.flush()
+    return out.reshape(n, n)
 
 
 def block_bits(levels: np.ndarray) -> int:

@@ -287,7 +287,7 @@ def test_overlong_prefix_error_independent_of_alignment(align, zeros):
         reader.read_ue()
     assert str(excinfo.value) == expected
     block = _one_level_block(align, zeros)
-    assert _parse(_parser_decode_block, block, align + 1, 8) == (
+    assert _parse(decode_block, block, align + 1, 8) == (
         f"{problem} at bit offset {align + 8}", align + 8
     )
 
@@ -335,25 +335,10 @@ def _parse(parse, data: bytes, skip: int, arg: int):
     return result, reader.tell()
 
 
-def _parser_decode_block(reader: BitReader, n: int) -> np.ndarray:
-    """One block by the decoder's path: BlockParser.read, decode_block when
-    the parser declines the block, then flush."""
-    out = np.zeros((1, n * n), dtype=np.int32)
-    parser = BlockParser(reader, n, out)
-    if not parser.read(0):
-        out[0] = decode_block(reader, n).ravel()
-    parser.flush()
-    return out.reshape(n, n)
-
-
 def _assert_block_parses_as_scalar_parse(data: bytes, skip: int, n: int):
-    # The decoder's path gives the scalar parse's levels and end, or its
-    # error text (where it leaves the reader after an error is no contract);
-    # decode_block alone gives both, error or not.
+    # decode_block, the decoder's BlockParser on one block, gives the scalar
+    # parse's levels or error text, and stops where it stops.
     want, end = _parse(_reference_decode_block, data, skip, n)
-    got, got_end = _parse(_parser_decode_block, data, skip, n)
-    assert got == want
-    assert got_end == end or isinstance(want, str)
     assert _parse(decode_block, data, skip, n) == (want, end)
     return want
 
@@ -437,17 +422,56 @@ def test_block_over_three_windows_matches_scalar_parse(monkeypatch, case):
     assert all(width <= min(8 * len(data) - start, WINDOW_BITS) for start, width in windows)
 
 
-def _clip_stream() -> bytes:
+@pytest.mark.parametrize("fault", ["token", "long_prefix", "cut"])
+def test_parser_raises_a_block_fault_and_flush_an_earlier_one(fault):
+    # One parser over two blocks, as the decoder shares it.  Block 1 holds a
+    # level over LEVEL_LIMIT, which only flush() checks; block 2 is malformed.
+    # read(1) raises block 2's error, and the caller's flush() then raises
+    # block 1's: each with the text and end of a scalar parse from its block.
+    n = 8
+    w = BitWriter()
+    w.write_uint(2, _token_bits(n))
+    w.write_se(5)
+    w.write_se(LEVEL_LIMIT + 1)
+    second = w.tell()
+    w.write_uint(n * n + 1 if fault == "token" else 3, _token_bits(n))
+    w.write_se(-7)
+    if fault == "long_prefix":
+        w.write_uint(1, 34)    # 33 zeros, then the 1-bit
+    w.write_se(LEVEL_LIMIT)    # 16 zeros, the 1-bit and 16 more bits
+    data = w.getvalue()
+    if fault == "cut":    # the stream ends at the first byte end after that code's 1-bit
+        one = w.tell() - 16
+        data = _truncated(data, one + -one % 8)
+    reader = BitReader(data)
+    parser = BlockParser(reader, n, np.zeros((2, n * n), dtype=np.int32))
+    parser.read(0)
+    with pytest.raises(DecodeError) as second_fault:
+        parser.read(1)
+    assert (str(second_fault.value), reader.tell()) == _parse(_reference_decode_block, data, second, n)
+    assert str(second_fault.value).startswith({"token": "last-significant token",
+                                               "long_prefix": "exp-Golomb value too large",
+                                               "cut": "bitstream truncated"}[fault])
+    with pytest.raises(DecodeError) as first_fault:
+        parser.flush()
+    assert (str(first_fault.value), reader.tell()) == _parse(_reference_decode_block, data, 0, n)
+    assert str(first_fault.value).startswith(f"level magnitude {LEVEL_LIMIT + 1} exceeds limit")
+
+
+def _clip_stream() -> tuple[bytes, int]:
+    """A two-frame clip's stream, and the number of its P-frame CUs."""
     rng = np.random.default_rng(41)
     base = rng.integers(0, 256, (3, 48, 48))
     frames = [
         Frame(40, 40, 8, tuple(np.roll(p, 2 * k, axis=1)[:40, :40].astype(np.uint8) for p in base))
         for k in range(2)
     ]
-    return encode_sequence(frames, EncoderConfig(base_qp=22, cu_size=16)).bitstream
+    result = encode_sequence(frames, EncoderConfig(base_qp=22, cu_size=16))
+    rows, cols = result.stats.grid_shape
+    return result.bitstream, rows * cols * sum(f.frame_type == "P" for f in result.stats.frames)
 
 
-_CLIP = _clip_stream()
+_CLIP, _CLIP_P_CUS = _clip_stream()
 
 
 def _noise_stream(cu_size: int) -> bytes:
@@ -519,17 +543,24 @@ def test_mangled_multi_window_stream_decodes_as_with_scalar_parse(cu_size, data)
 def test_windows_of_any_width_parse_as_scalar_parse(window_bits, block, offset, kind, run):
     # Blocks straddle window ends at every width down to 65 bits, a longest
     # code: below that, a fresh window may not hold the code it starts at.
-    def no_decode_block(reader, n):
-        raise AssertionError(f"decode_block called at bit offset {reader.tell()}")
+    # The unmangled clip's decoder reads no level code by code: its reader's
+    # read_ue takes only the two MV codes of each P-frame CU.
+    read_ue_calls = []
+
+    class CountingReader(BitReader):
+        def read_ue(self):
+            read_ue_calls.append(self.tell())
+            return super().read_ue()
 
     want = _decode_outcome(reference_codec.reference_decode, _CLIP)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entropy, "WINDOW_BITS", window_bits)
         _assert_block_parses_as_scalar_parse(*block)
         _assert_decodes_as_reference(_CLIP, offset, kind, run)
-        patch.setattr(pipeline, "decode_block", no_decode_block)
+        patch.setattr(pipeline, "BitReader", CountingReader)
         got = _decode_outcome(decode_sequence, _CLIP)
     assert all(np.array_equal(a, b) for fa, fb in zip(got, want) for a, b in zip(fa, fb))
+    assert _CLIP_P_CUS and len(read_ue_calls) == 2 * _CLIP_P_CUS
 
 
 @pytest.mark.parametrize("cu_size", sorted(_NOISE))

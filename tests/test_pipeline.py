@@ -781,14 +781,19 @@ def test_no_transform_or_quantizer_call_exceeds_the_batch_bound(monkeypatch):
 
 def test_blocks_longer_than_a_window_stay_in_the_parser(monkeypatch):
     # The QP 51 stream's +-LEVEL_LIMIT blocks take 33 bits a level, up to
-    # three windows a block.  The parser takes every block, and the windows
-    # tile the stream: each window after the first starts at the first level
-    # code that the window before does not hold whole, stays within
-    # WINDOW_BITS and is built once.
-    def no_decode_block(reader, n):
-        raise AssertionError(f"decode_block called at bit offset {reader.tell()}")
+    # three windows a block.  The parser takes every block: the decoder's
+    # reader reads no level code by code, only the two MV codes of each of
+    # the P frame's 4 CUs.  The windows tile the stream: each window after
+    # the first starts at the first level code that the window before does
+    # not hold whole, stays within WINDOW_BITS and is built once.
+    read_ue_calls = []
 
-    monkeypatch.setattr(pipeline, "decode_block", no_decode_block)
+    class CountingReader(entropy.BitReader):
+        def read_ue(self):
+            read_ue_calls.append(self.tell())
+            return super().read_ue()
+
+    monkeypatch.setattr(pipeline, "BitReader", CountingReader)
     windows = []
     real_window = entropy._Window.__init__
 
@@ -815,6 +820,7 @@ def test_blocks_longer_than_a_window_stay_in_the_parser(monkeypatch):
     monkeypatch.setattr(reference_codec, "decode_block", recording_block)
     test_reference_codec.test_level_limit_stream_at_qp_51_decodes_as_reference()
     starts, ends = np.array(starts), np.array(ends)
+    assert len(read_ue_calls) == 2 * 4
     assert len(windows) == len(set(windows))
     assert all(width <= WINDOW_BITS for _, width in windows)
     assert windows[0][0] == starts[0]
