@@ -5,23 +5,25 @@ prediction per channel block), the rest are inter predicted from the
 previous reconstruction with one full-pel motion vector per CU.  Every CU
 carries three explicit channel QPs in the stream, so the decoder never
 recomputes perceptual statistics.  Both sides code a frame's CUs in
-cache-sized batches of at most RECONSTRUCT_LEVELS levels, each with one
-transform call, one quantizer call per QP and one shared _reconstruct, so
-the working set does not grow with the frame.  The encoder batches an intra
-frame by anti-diagonals (a wavefront) and writes each CU as soon as the CUs
-before it in raster order are coded.  The decoder reconstructs each raster
-batch as soon as it is parsed, in one level buffer.  The decoder's output is
-bit-exact equal to the encoder's own reconstruction; that identity is the
-codec's master invariant.
+cache-sized batches of at most RECONSTRUCT_LEVELS levels, so the working set
+does not grow with the frame.  A batch is plain arrays: its CUs' raster
+indices and corners, (K, 3) QPs and (K, 2) motion vectors.  Its source
+blocks and its motion-compensated prediction are each one gather, and the
+shared _reconstruct makes one transform call, one quantizer call per QP and
+one store.  The encoder batches an intra frame by anti-diagonals (a
+wavefront) and writes each CU as soon as the CUs before it in raster order
+are coded.  The decoder reconstructs each raster batch as soon as it is
+parsed, in one level buffer.  The decoder's output is bit-exact equal to the
+encoder's own reconstruction; that identity is the codec's master invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # decode_block stays bound here for codecbench's tracer, which wraps pipeline.decode_block.
 from .entropy import BitReader, BitWriter, BlockParser, _token_bits, decode_block, encode_block
@@ -30,7 +32,7 @@ from .frames import (
     BIT_DEPTHS, CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane,
     partition, tiles,
 )
-from .motion import MotionField, MotionVector, estimate_motion_field
+from .motion import MotionField, estimate_motion_field
 from .perceptual import (
     adaptiveqp_offset,
     cb_activity,
@@ -206,47 +208,45 @@ def intra_predict_dc(
     return np.full(recon.shape[:-2] + (size, size), value[..., None, None], dtype=np.int64)
 
 
-def _block(planes, cu):
-    return planes[..., cu.y : cu.y + cu.size, cu.x : cu.x + cu.size]
+def _predict(recon, prev, x, y, mvs, n, bit_depth):
+    """The (K, 3, n, n) prediction of the CUs with corners `x` and `y`: one DC
+    block per CU from `recon` when `prev` is None, else the blocks that the
+    (K, 2) `mvs` point to, in one gather from `prev`: the (3, H - n + 1,
+    W - n + 1, n, n) view of every n x n window of the previous reconstruction."""
+    if prev is None:
+        return np.stack([intra_predict_dc(recon, cx, cy, n, bit_depth)
+                         for cx, cy in zip(x.tolist(), y.tolist())])
+    return prev[:, y + mvs[:, 1], x + mvs[:, 0]].swapaxes(0, 1)
 
 
-def _predict(recon, prev, cu, mv: Optional[MotionVector], bit_depth):
-    """DC prediction when mv is None, else motion compensation from `prev`;
-    `recon` and `prev` are planes or stacks of planes."""
-    if mv is None:
-        return intra_predict_dc(recon, cu.x, cu.y, cu.size, bit_depth)
-    x, y = cu.x + mv.vx, cu.y + mv.vy
-    return prev[..., y : y + cu.size, x : x + cu.size]
-
-
-def _reconstruct(recon, cus, pred, levels, qps, bit_depth, spec):
-    """Reconstruct a batch of CUs onto `recon`, for the encoder and the
-    decoder alike: their (K, 3, n, n) levels are dequantized with one call
-    per distinct QP of the (K, 3) `qps` and inverse transformed in one call,
-    then each CU's prediction is added and the clipped result stored at the
-    CU.  `pred` is the batch's prediction stack, or None to DC-predict the
-    CUs in order, each from the ones stored before it."""
+def _reconstruct(recon, x, y, pred, levels, qps, bit_depth, spec):
+    """Reconstruct a batch of CUs, with corners `x` and `y`, onto `recon`, for
+    the encoder and the decoder alike: their (K, 3, n, n) levels are
+    dequantized with one call per distinct QP of the (K, 3) `qps` and inverse
+    transformed in one call, then the prediction stack `pred` is added and
+    the clipped batch stored in one assignment.  With `pred` None each CU is
+    DC-predicted and stored in turn, from the ones stored before it."""
     coeffs = np.empty(levels.shape, dtype=np.int64)
     for qp in set(qps.ravel().tolist()):
         sel = qps == qp
         coeffs[sel] = urq_dequantize(levels[sel], qp, spec.size)
     residual = inverse(coeffs, spec)
-    top = (1 << bit_depth) - 1
+    n, top = spec.size, (1 << bit_depth) - 1
     if pred is not None:
-        residual = np.clip(pred + residual, 0, top)
-    for cu, block in zip(cus, residual):
-        if pred is None:
-            block = np.clip(intra_predict_dc(recon, cu.x, cu.y, cu.size, bit_depth) + block,
-                            0, top)
-        _block(recon, cu)[...] = block
+        tiles(recon, n)[:, y // n, x // n] = np.clip(pred + residual, 0, top).swapaxes(0, 1)
+        return
+    for cx, cy, block in zip(x.tolist(), y.tolist(), residual):
+        block = np.clip(intra_predict_dc(recon, cx, cy, n, bit_depth) + block, 0, top)
+        recon[:, cy : cy + n, cx : cx + n] = block
 
 
-def _code_batch(orig, recon, prev, cus, mvs, qps, config, spec, bit_depth) -> np.ndarray:
+def _code_batch(orig, recon, prev, x, y, mvs, qps, config, spec, bit_depth) -> np.ndarray:
     """The (K, 3, n, n) int32 levels of CUs that predict independently, from one
-    prediction stack, forward transform, quantizer call per QP and _reconstruct."""
+    prediction stack, source gather, forward transform, quantizer call per QP
+    and _reconstruct."""
     n = config.cu_size
-    pred = np.stack([_predict(recon, prev, cu, mv, bit_depth) for cu, mv in zip(cus, mvs)])
-    coeffs = forward(np.stack([_block(orig, cu) for cu in cus]) - pred, spec)
+    pred = _predict(recon, prev, x, y, mvs, n, bit_depth)
+    coeffs = forward(tiles(orig, n)[:, y // n, x // n].swapaxes(0, 1) - pred, spec)
     levels = np.empty(coeffs.shape, dtype=np.int32)
     for qp in set(qps.ravel().tolist()):
         sel = qps == qp
@@ -254,19 +254,21 @@ def _code_batch(orig, recon, prev, cus, mvs, qps, config, spec, bit_depth) -> np
             levels[sel] = rdoq_quantize(coeffs[sel], qp, n, rdoq_config(qp, n, bit_depth))
         else:
             levels[sel] = urq_quantize(coeffs[sel], qp, n)
-    _reconstruct(recon, cus, pred, levels, qps, bit_depth, spec)
+    _reconstruct(recon, x, y, pred, levels, qps, bit_depth, spec)
     return levels
 
 
 def _batches(tree, wavefront: bool):
-    """A frame's CU indices in batches of at most RECONSTRUCT_LEVELS levels (one CU
-    at least): raster runs, or with `wavefront` the grid's anti-diagonals, whose
-    CUs DC-predict only from earlier diagonals (the CUs above and to the left)."""
-    rows, cols = tree.grid_shape
+    """A frame's CUs in batches of at most RECONSTRUCT_LEVELS levels (one CU at
+    least), each as (run, x, y) arrays of raster indices and corners: raster
+    runs, or with `wavefront` the grid's anti-diagonals, whose CUs DC-predict
+    only from earlier diagonals (the CUs above and to the left)."""
+    (rows, cols), n = tree.grid_shape, tree.cu_size
     runs = [[r * cols + d - r for r in range(max(0, d - cols + 1), min(d, rows - 1) + 1)]
             for d in range(rows + cols - 1)] if wavefront else [range(rows * cols)]
-    step = max(1, RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * tree.cu_size ** 2))
-    return [run[k : k + step] for run in runs for k in range(0, len(run), step)]
+    step = max(1, RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * n * n))
+    batches = [np.array(run[k : k + step]) for run in runs for k in range(0, len(run), step)]
+    return [(run, run % cols * n, run // cols * n) for run in batches]
 
 
 def _crop(recon, shape) -> Frame:
@@ -319,7 +321,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     recon_frames = []
     prev_recon = None
     tree = partition(first, config.cu_size)
-    cus = list(tree)
+    batches = {intra: _batches(tree, intra) for intra in (False, True)}
     stats = SequenceStats(grid_shape=tree.grid_shape)
 
     for idx, frame in enumerate(frames):
@@ -335,23 +337,24 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         frame_start = writer.tell()
         writer.write_uint(0 if intra else 1, 1)
 
-        n = len(PLANE_ORDER)
-        mvs = motion.vectors if motion else [None] * len(cus)
-        qps = np.array([cb.qp for cb in cbs]).reshape(-1, n)
+        qps = np.array([cb.qp for cb in cbs]).reshape(-1, len(PLANE_ORDER))
+        mvs = (np.empty((len(qps), 0), dtype=np.int64) if intra    # an I-frame codes no MVs
+               else np.array([(v.vx, v.vy) for v in motion.vectors]))
+        prev = None if intra else sliding_window_view(prev_recon, (tree.cu_size,) * 2, axis=(1, 2))
         ready, written = {}, 0
-        for run in _batches(tree, intra):
-            ready.update(zip(run, _code_batch(orig, recon, prev_recon, [cus[i] for i in run],
-                                              [mvs[i] for i in run], qps[run], config, spec,
-                                              bit_depth)))
+        for run, x, y in batches[intra]:
+            levels = _code_batch(orig, recon, prev, x, y, mvs[run], qps[run], config, spec,
+                                 bit_depth)
+            ready.update(zip(run.tolist(), levels))
             while written in ready:
-                for cb in cbs[n * written : n * (written + 1)]:
-                    writer.write_uint(cb.qp, QP_FIELD_BITS)
-                if motion:
-                    writer.write_se(mvs[written].vx)
-                    writer.write_se(mvs[written].vy)
-                for cb, block in zip(cbs[n * written : n * (written + 1)], ready.pop(written)):
+                # The writer takes Python ints: write_ue calls int.bit_length.
+                for qp in qps[written].tolist():
+                    writer.write_uint(qp, QP_FIELD_BITS)
+                for v in mvs[written].tolist():
+                    writer.write_se(v)
+                for ch, block in zip(PLANE_ORDER, ready.pop(written)):
                     nbits = encode_block(block, writer)
-                    fstat.bits_channel[cb.channel] = fstat.bits_channel.get(cb.channel, 0) + nbits
+                    fstat.bits_channel[ch] = fstat.bits_channel.get(ch, 0) + nbits
                 written += 1
 
         fstat.bits_total = writer.tell() - frame_start
@@ -367,8 +370,8 @@ def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, 
     """Parse and reconstruct a frame's CUs after its type bit, with
     motion-compensated prediction from `prev_recon` (None for an intra
     frame).  Each of the raster `batches` is parsed into the first K * 3 rows
-    of `levels`, zeroed first, then flushed from `parser` and reconstructed
-    before the next batch is parsed."""
+    of `levels`, zeroed first, and into (K, 3) QP and (K, 2) MV arrays, then
+    flushed from `parser` and reconstructed before the next batch is parsed."""
     n, size = len(PLANE_ORDER), tree.cu_size
     # Each CU takes at least its QP fields and block tokens.  A frame that the
     # rest of the stream cannot hold ends in a DecodeError, so it is parsed
@@ -376,35 +379,30 @@ def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, 
     cu_bits = n * (QP_FIELD_BITS + _token_bits(size))
     fits = stream_bits - reader.tell() >= tree.grid_shape[0] * tree.grid_shape[1] * cu_bits
     recon = np.zeros((n, tree.height, tree.width), dtype=PLANE_DTYPE) if fits else None
-    grid = iter(tree)
-    for run in batches:
-        cus, qps = [], []
-        pred = None if prev_recon is None else []
+    inter = prev_recon is not None
+    prev = sliding_window_view(prev_recon, (size, size), axis=(1, 2)) if inter else None
+    for run, x, y in batches:
+        qps = np.empty((len(run), n), dtype=np.int64)
+        mvs = np.empty((len(run), 2), dtype=np.int64) if inter else None
         rows = levels[: n * len(run)]
         rows.fill(0)
-        for cu in islice(grid, len(run)):    # each CU built as it is parsed
-            cu_qps = []
-            for _ in PLANE_ORDER:
-                qp = reader.read_uint(QP_FIELD_BITS)
+        for k, (cx, cy) in enumerate(zip(x.tolist(), y.tolist())):
+            for c in range(n):
+                qp = qps[k, c] = reader.read_uint(QP_FIELD_BITS)
                 if qp > QP_MAX:
                     raise DecodeError(f"qp {qp} out of range at bit offset {reader.tell()}")
-                cu_qps.append(qp)
-            if pred is not None:
-                mv = MotionVector(reader.read_se(), reader.read_se())
-                if not (0 <= cu.x + mv.vx <= tree.width - size
-                        and 0 <= cu.y + mv.vy <= tree.height - size):
+            if inter:
+                vx, vy = reader.read_se(), reader.read_se()
+                if not (0 <= cx + vx <= tree.width - size and 0 <= cy + vy <= tree.height - size):
                     raise DecodeError(
-                        f"motion vector ({mv.vx}, {mv.vy}) leaves the frame at CU ({cu.x}, {cu.y})"
-                    )
-                pred.append(_predict(None, prev_recon, cu, mv, None))
-            for row in range(n * len(cus), n * len(cus) + n):
+                        f"motion vector ({vx}, {vy}) leaves the frame at CU ({cx}, {cy})")
+                mvs[k] = vx, vy
+            for row in range(n * k, n * k + n):
                 parser.read(row)
-            cus.append(cu)
-            qps.append(cu_qps)
         parser.flush()
         if fits:
-            _reconstruct(recon, cus, None if pred is None else np.stack(pred),
-                         rows.reshape(-1, n, size, size), np.array(qps), bit_depth, spec)
+            pred = _predict(None, prev, x, y, mvs, size, None) if inter else None
+            _reconstruct(recon, x, y, pred, rows.reshape(-1, n, size, size), qps, bit_depth, spec)
     return recon
 
 
@@ -422,7 +420,7 @@ def decode_sequence(data: bytes) -> list:
 
     batches = _batches(tree, wavefront=False)
     # The level rows of one batch, reused by every batch of every frame.
-    levels = np.empty((len(PLANE_ORDER) * len(batches[0]), cu_size * cu_size), dtype=np.int32)
+    levels = np.empty((len(PLANE_ORDER) * batches[0][0].size, cu_size ** 2), dtype=np.int32)
     parser = BlockParser(reader, cu_size, levels)
     frames = []
     prev_recon = None

@@ -548,6 +548,57 @@ def test_level_over_limit_is_reported_before_a_motion_vector_fault():
     assert str(err.value) == message
 
 
+@functools.lru_cache(maxsize=None)
+def _coded_intra_frame():
+    """The header, bit count and bits of a coded 128x128 noise I-frame at CU 32."""
+    result = encode_sequence(_noise_frames(1, size=128, seed=23), EncoderConfig(base_qp=27))
+    reader, nbits = entropy.BitReader(result.bitstream), result.stats.total_bits
+    reader.read_uint(128)
+    return stream_header(result.bitstream), nbits, reader.read_uint(nbits)
+
+
+def _intra_then_inter(mvs):
+    """A stream of that I-frame and a hand-built P-frame whose 16 CUs take the
+    vectors `mvs` and code no residual, so each CU is the block its vector
+    points to."""
+    header, nbits, bits = _coded_intra_frame()
+    writer = BitWriter()
+    StreamHeader(**dict(header, frame_count=2)).write(writer)
+    writer.write_uint(bits, nbits)
+    writer.write_uint(1, 1)
+    for vx, vy in mvs:
+        _qps(writer)
+        writer.write_se(vx)
+        writer.write_se(vy)
+        writer.write_uint(0, 3 * 11)    # three zero tokens
+    return writer.getvalue()
+
+
+@pytest.mark.parametrize("cu", [0, 6])   # the first CU, and one inside the second batch
+def test_motion_vectors_reach_each_frame_edge_but_not_past_it(cu):
+    # The decoder gathers a batch's motion-compensated blocks from a window
+    # view of the reference, where a negative index wraps silently: the MV
+    # bounds check is the only guard, and the round-trip properties would not
+    # notice it gone.  The 128x128 frame at CU 32 has 16 CUs in batches of 5.
+    assert pipeline.RECONSTRUCT_LEVELS // (3 * 32 * 32) == 5
+    x, y, last = 32 * (cu % 4), 32 * (cu // 4), 128 - 32
+    for vx, vy in [(-x, 0), (last - x, 0), (0, -y), (0, last - y)]:
+        data = _intra_then_inter([(vx, vy) if k == cu else (0, 0) for k in range(16)])
+        decoded, expected = decode_sequence(data), reference_decode(data)
+        assert all(np.array_equal(a, b) for got, want in zip(decoded, expected, strict=True)
+                   for a, b in zip(got.planes, want.planes))
+        for got, ref in zip(decoded[1].planes, decoded[0].planes):
+            block = ref[y + vy : y + vy + 32, x + vx : x + vx + 32]
+            assert np.array_equal(got[y : y + 32, x : x + 32], block), (vx, vy)
+    for vx, vy in [(-x - 1, 0), (last - x + 1, 0), (0, -y - 1), (0, last - y + 1)]:
+        data = _intra_then_inter([(vx, vy) if k == cu else (0, 0) for k in range(16)])
+        message = f"motion vector ({vx}, {vy}) leaves the frame at CU ({x}, {y})"
+        assert _decode_error(data) == message
+        with pytest.raises(DecodeError) as err:
+            reference_decode(data)
+        assert str(err.value) == message
+
+
 def test_trailing_data_after_last_frame_rejected():
     writer = _hand_built(1, _zero_intra_frame)
     data = writer.getvalue()
