@@ -187,11 +187,9 @@ def write_qp_maps(result: EncodeResult, outdir, sequence: str, mode: str, qp: in
     outdir.mkdir(parents=True, exist_ok=True)
     height, width = result.stats.grid_shape
     for fstat in result.stats.frames:
-        grids = {ch: np.zeros((height, width), dtype=np.uint8) for ch in PLANE_ORDER}
-        for cb in fstat.cb:
-            grids[cb.channel].flat[cb.cu] = cb.qp
-        for ch, grid in grids.items():
+        grids = fstat.cb.qp.astype(np.uint8).reshape(height, width, len(PLANE_ORDER))
+        for c, ch in enumerate(PLANE_ORDER):
             name = f"{sequence}_{mode}_qp{qp}_f{fstat.index:04d}_{ch}.pgm"
             with open(outdir / name, "wb") as fh:
                 fh.write(f"P5 {width} {height} 51\n".encode())
-                fh.write(grid.tobytes())
+                fh.write(grids[..., c].tobytes())

@@ -215,6 +215,21 @@ def tiles(plane: np.ndarray, n: int) -> np.ndarray:
     return plane.reshape(*lead, h // n, n, w // n, n).swapaxes(-3, -2)
 
 
+def windows(plane: np.ndarray, n: int) -> np.ndarray:
+    """Every n x n window of a plane, or of each plane of a stack, as a
+    read-only (..., h - n + 1, w - n + 1, n, n) view indexed by the window's
+    top-left corner; what sliding_window_view gives, built with the ndarray
+    constructor at a tenth of its cost.  A non-contiguous plane is copied."""
+    if plane.ndim < 2 or not 1 <= n <= min(plane.shape[-2:]):
+        raise StructuralError(f"plane {plane.shape} has no {n}x{n} windows")
+    plane = np.ascontiguousarray(plane)
+    *lead, h, w = plane.shape
+    strides = plane.strides + plane.strides[-2:]
+    view = np.ndarray((*lead, h - n + 1, w - n + 1, n, n), plane.dtype, plane, 0, strides)
+    view.flags.writeable = False
+    return view
+
+
 def _quadrant_size(cb: np.ndarray) -> int:
     """N of a 2Nx2N channel block, or of each block of a stack."""
     if cb.ndim < 2 or cb.shape[-1] != cb.shape[-2] or cb.shape[-1] % 2 or cb.shape[-1] < 8:

@@ -37,10 +37,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, StructuralError
-from .frames import BlockTree, _is_integer, box_sums, tiles
+from .frames import BlockTree, _is_integer, box_sums, tiles, windows
 
 SUB_BLOCK = 4    # side of the sub-blocks whose sums bound the SAD
 DESCEND_SAMPLES = 1 << 17  # survivors x block samples from which level 2 pays
@@ -78,11 +77,11 @@ class _Reference:
 
     def __init__(self, reference: np.ndarray, size: int):
         self.sub = math.gcd(size, SUB_BLOCK)
-        self.plane = np.asarray(reference, dtype=np.int32)
+        self.plane = np.ascontiguousarray(reference, dtype=np.int32)
         span = size - self.sub + 1
         sums = box_sums(self.plane, self.sub).astype(np.int32)
-        self.windows = sliding_window_view(self.plane, (size, size))
-        self.window_sums = sliding_window_view(sums, (span, span))[:, :, :: self.sub, :: self.sub]
+        self.windows = windows(self.plane, size)
+        self.window_sums = windows(sums, span)[:, :, :: self.sub, :: self.sub]
 
     def block_sums(self, block: np.ndarray) -> np.ndarray:
         """The sub-block sums of a block, in the layout of `window_sums`."""
@@ -94,7 +93,7 @@ class _Reference:
         pairs = self.plane[:, 1:] + self.plane[:, :-1]
         pairs = pairs[1:] + pairs[:-1]
         span = self.windows.shape[-1] - 1
-        return sliding_window_view(pairs, (span, span))[:, :, ::2, ::2]
+        return windows(pairs, span)[:, :, ::2, ::2]
 
     def search(self, block, sums, x, y, search_range, seeds=()) -> MotionVector:
         """The minimum-SAD vector of the block at (x, y); the SADs of (0, 0),

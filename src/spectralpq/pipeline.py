@@ -19,18 +19,18 @@ encoder's own reconstruction; that identity is the codec's master invariant.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # decode_block stays bound here for codecbench's tracer, which wraps pipeline.decode_block.
 from .entropy import BitReader, BitWriter, BlockParser, _token_bits, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
 from .frames import (
     BIT_DEPTHS, CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane,
-    partition, tiles,
+    partition, tiles, windows,
 )
 from .motion import MotionField, estimate_motion_field
 from .perceptual import (
@@ -164,13 +164,52 @@ class CbStat:
     qp: int
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class CbColumns(Sequence):
+    """A frame's CbStat rows, CU-major then G, B, R, kept as columns: (K, 3)
+    arrays with a row per CU and a column per channel, the CUs' (K,) motion
+    magnitudes, and the frame's index and means as numbers.  It reads as a
+    read-only sequence of CbStat, each row built when it is read; `==`
+    compares the rows."""
+
+    frame: int
+    frame_mean_g: tuple                   # one H per channel
+    frame_mean_magnitude: float
+    g: np.ndarray                         # (K, 3) float64
+    a: np.ndarray                         # (K, 3) float64
+    mv_magnitude: np.ndarray              # (K,) float64
+    temporal: np.ndarray                  # (K, 3) int8, as are offset and qp
+    offset: np.ndarray
+    qp: np.ndarray
+
+    def __len__(self) -> int:
+        return self.qp.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        cu, c = divmod(range(len(self))[index], len(PLANE_ORDER))
+        return CbStat(self.frame, cu, PLANE_ORDER[c], self.g[cu, c].item(),
+                      self.frame_mean_g[c], self.a[cu, c].item(), self.mv_magnitude[cu].item(),
+                      self.frame_mean_magnitude, self.temporal[cu, c].item(),
+                      self.offset[cu, c].item(), self.qp[cu, c].item())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class FrameStats:
+    """One coded frame: its type, bits by channel and in total, its CbStat rows
+    (CbColumns from the encoder) and its motion field."""
+
     index: int
     frame_type: str                       # "I" or "P"
     bits_channel: dict = field(default_factory=dict)
     bits_total: int = 0
-    cb: list = field(default_factory=list)
+    cb: Sequence = ()
     motion: Optional[MotionField] = None  # the frame's motion search; None for I-frames
 
 
@@ -277,29 +316,29 @@ def _crop(recon, shape) -> Frame:
                  tuple(recon[:, : shape.height, : shape.width]))
 
 
-def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> list:
-    """The frame's CbStat rows, CU-major then G, B, R: each channel block's
-    activity, masking terms and QP according to the mode."""
-    gs = {ch: cb_activity(tiles(p, tree.cu_size)).ravel().tolist()
-          for ch, p in zip(PLANE_ORDER, orig)}
-    means = {ch: frame_mean_activity(gs[ch]) for ch in PLANE_ORDER}
+def _frame_cbs(config, idx, orig, tree, motion: Optional[MotionField]) -> CbColumns:
+    """The frame's channel-block statistics: each block's activity, masking
+    terms and QP according to the mode, with one call of each perceptual
+    function per channel over all the frame's CUs."""
+    g = np.stack([cb_activity(tiles(p, tree.cu_size)).ravel() for p in orig], axis=1)
+    means = tuple(frame_mean_activity(col.tolist()) for col in g.T)
+    d = np.array(motion.magnitudes) if motion else np.zeros(len(g))
     f = motion.mean_magnitude if motion else 0.0
-    cbs = []
-    for i in range(len(gs["G"])):
-        d = motion.magnitudes[i] if motion else 0.0
-        a, z, offset, qp = 0.0, 0, 0, config.base_qp
-        if config.mode == "anchor-adaptiveqp":
-            a = normalized_activity(gs["G"][i], means["G"])
-            offset = adaptiveqp_offset(a)
-            qp = min(max(config.base_qp + offset, QP_MIN), QP_MAX)
-        for ch in PLANE_ORDER:
-            if config.mode == "spectral-pq":
-                a = normalized_activity(gs[ch][i], means[ch])
-                z = temporal_offset(d, f, ch) if motion else 0
-                pqp = perceptual_qp(config.base_qp, a, z, ch)
-                offset, qp = pqp.total_offset, pqp.qp
-            cbs.append(CbStat(idx, i, ch, gs[ch][i], means[ch], a, d, f, z, offset, qp))
-    return cbs
+    a = np.zeros(g.shape)
+    z, offset = np.zeros(g.shape, np.int8), np.zeros(g.shape, np.int8)
+    qp = np.full(g.shape, config.base_qp, np.int8)
+    if config.mode == "anchor-adaptiveqp":
+        a[:] = normalized_activity(g[:, :1], means[0])    # G's, for the whole CU
+        cu_offset = adaptiveqp_offset(a[:, :1])
+        offset[:], qp[:] = cu_offset, np.clip(config.base_qp + cu_offset, QP_MIN, QP_MAX)
+    elif config.mode == "spectral-pq":
+        for c, ch in enumerate(PLANE_ORDER):
+            a[:, c] = normalized_activity(g[:, c], means[c])
+            if motion:
+                z[:, c] = temporal_offset(d, f, ch)
+            pqp = perceptual_qp(config.base_qp, a[:, c], z[:, c], ch)
+            offset[:, c], qp[:, c] = pqp.total_offset, pqp.qp
+    return CbColumns(idx, means, f, g, a, d, z, offset, qp)
 
 
 def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
@@ -337,10 +376,10 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         frame_start = writer.tell()
         writer.write_uint(0 if intra else 1, 1)
 
-        qps = np.array([cb.qp for cb in cbs]).reshape(-1, len(PLANE_ORDER))
+        qps = cbs.qp
         mvs = (np.empty((len(qps), 0), dtype=np.int64) if intra    # an I-frame codes no MVs
                else np.array([(v.vx, v.vy) for v in motion.vectors]))
-        prev = None if intra else sliding_window_view(prev_recon, (tree.cu_size,) * 2, axis=(1, 2))
+        prev = None if intra else windows(prev_recon, tree.cu_size)
         ready, written = {}, 0
         for run, x, y in batches[intra]:
             levels = _code_batch(orig, recon, prev, x, y, mvs[run], qps[run], config, spec,
@@ -380,7 +419,7 @@ def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, 
     fits = stream_bits - reader.tell() >= tree.grid_shape[0] * tree.grid_shape[1] * cu_bits
     recon = np.zeros((n, tree.height, tree.width), dtype=PLANE_DTYPE) if fits else None
     inter = prev_recon is not None
-    prev = sliding_window_view(prev_recon, (size, size), axis=(1, 2)) if inter else None
+    prev = windows(prev_recon, size) if inter else None
     for run, x, y in batches:
         qps = np.empty((len(run), n), dtype=np.int64)
         mvs = np.empty((len(run), 2), dtype=np.int64) if inter else None

@@ -14,6 +14,7 @@ from spectralpq.frames import (
     save_sequence,
     subblocks,
     tiles,
+    windows,
 )
 
 
@@ -343,6 +344,31 @@ def test_tiles_is_a_raster_view_of_the_blocks(n, shape):
         for c in range(w // n):
             assert np.array_equal(view[..., r, c, :, :], plane[..., r * n : (r + 1) * n,
                                                                c * n : (c + 1) * n])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("shape", [(8, 8), (9, 24), (3, 16, 11), (2, 3, 10, 12)])
+def test_windows_equal_sliding_window_view(n, shape):
+    rng = np.random.default_rng(n * len(shape))
+    for dtype in (np.int32, np.uint8, np.float64):
+        stack = rng.integers(0, 256, shape).astype(dtype)
+        for plane in (stack, stack[..., 1:, ::2]):       # contiguous, and a strided view
+            if min(plane.shape[-2:]) < n:
+                continue
+            view = windows(plane, n)
+            want = np.lib.stride_tricks.sliding_window_view(plane, (n, n), axis=(-2, -1))
+            assert view.shape == want.shape and view.dtype == plane.dtype
+            assert np.array_equal(view, want)
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[(0,) * view.ndim] = 1
+
+
+def test_windows_reject_a_window_larger_than_the_plane():
+    for plane, n in ((np.zeros((8, 12)), 9), (np.zeros((2, 4, 8)), 5), (np.zeros(8), 2),
+                     (np.zeros((8, 8)), 0)):
+        with pytest.raises(StructuralError):
+            windows(plane, n)
 
 
 def test_tiles_rejects_a_plane_off_the_grid():

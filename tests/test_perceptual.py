@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralpq.errors import StructuralError
 from spectralpq.frames import Frame, partition, tiles
@@ -230,3 +232,98 @@ def test_cu_activities_rejects_a_plane_off_the_grid():
     for shape in ((9, 9), (4, 4), (8, 16), (10, 10, 8), (2, 3, 12, 16), (8,)):
         with pytest.raises(StructuralError):
             cb_activity(np.zeros(shape))
+
+
+_CHANNELS = ("G", "B", "R")
+
+
+def _assert_array_equals_scalar(array_result, scalar_results):
+    # Every element equals the scalar call's result, and the array is integer
+    # where the scalar results are ints.
+    assert array_result.shape == (len(scalar_results),)
+    if all(type(v) is int for v in scalar_results):
+        assert array_result.dtype.kind == "i"
+    assert array_result.tolist() == scalar_results
+
+
+def _assert_perceptual_arrays_equal_scalars(gs, frame_mean, mags, mean_mag, frame_qp):
+    gs, mags = np.array(gs, dtype=np.float64), np.array(mags, dtype=np.float64)
+    a = normalized_activity(gs, frame_mean)
+    _assert_array_equals_scalar(a, [normalized_activity(g, frame_mean) for g in gs.tolist()])
+    _assert_array_equals_scalar(spatial_term(a), [spatial_term(v) for v in a.tolist()])
+    _assert_array_equals_scalar(round_half_away(6.0 * np.log2(a)),
+                                [round_half_away(6.0 * v) for v in np.log2(a).tolist()])
+    # the anchor mode: one G-driven offset per CU
+    _assert_array_equals_scalar(adaptiveqp_offset(a), [adaptiveqp_offset(v) for v in a.tolist()])
+    for ch in _CHANNELS:
+        z = temporal_offset(mags, mean_mag, ch)
+        _assert_array_equals_scalar(z, [temporal_offset(d, mean_mag, ch) for d in mags.tolist()])
+        got = perceptual_qp(frame_qp, a, z, ch)
+        want = [perceptual_qp(frame_qp, v, zv, ch) for v, zv in zip(a.tolist(), z.tolist())]
+        for name in ("spatial_term", "total_offset", "qp"):
+            _assert_array_equals_scalar(getattr(got, name), [getattr(w, name) for w in want])
+
+
+_activities = st.floats(1.0, 1e7, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gs=st.lists(_activities, min_size=1, max_size=40),
+    frame_mean=_activities,
+    mags=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=40),
+    mean_mag=st.floats(0.0, 30.0),
+    frame_qp=st.integers(0, 51),
+)
+def test_array_calls_equal_scalar_calls(gs, frame_mean, mags, mean_mag, frame_qp):
+    # The array path is what the encoder runs; the scalar functions are the
+    # reference it must equal, element by element, for every channel.
+    size = min(len(gs), len(mags))
+    _assert_perceptual_arrays_equal_scalars(gs[:size], frame_mean, mags[:size], mean_mag, frame_qp)
+
+
+def _boundary_activities():
+    """Every a = 2 ** ((k + 0.5) / 6) in (1/2, 2), where 6 log2 a crosses a
+    half, and its two neighbouring floats."""
+    bounds = np.array([2.0 ** ((k + 0.5) / 6) for k in range(-6, 6)])
+    return np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 4.0)])
+
+
+def test_array_spatial_terms_equal_scalar_ones_at_every_rounding_boundary():
+    # np.log2 and math.log2 may round these a differently.
+    a = _boundary_activities()
+    _assert_array_equals_scalar(spatial_term(a), [spatial_term(v) for v in a.tolist()])
+    for ch in _CHANNELS:
+        got = perceptual_qp(30, a, np.zeros(a.size, dtype=np.int64), ch)
+        assert got.qp.tolist() == [perceptual_qp(30, v, 0, ch).qp for v in a.tolist()]
+    assert adaptiveqp_offset(a).tolist() == [adaptiveqp_offset(v) for v in a.tolist()]
+    # g = H * (2 - a) / (2a - 1) puts a on the boundary through normalized_activity
+    frame_mean = 37.0
+    gs = (frame_mean * (2.0 - a) / (2.0 * a - 1.0)).tolist()
+    _assert_perceptual_arrays_equal_scalars(gs, frame_mean, [0.0, 1.0] * (len(gs) // 2), 0.5, 27)
+
+
+def test_array_spatial_terms_follow_math_log2_where_np_log2_rounds_across_a_half(monkeypatch):
+    # An np.log2 two ulps off, up and down in turn, moves some boundary terms
+    # across a half; the array path recomputes those with math.log2.
+    a = _boundary_activities()
+    want = [spatial_term(v) for v in a.tolist()]
+    real = np.log2
+
+    def skewed(x):
+        away = np.where(np.arange(np.size(x)) % 2, np.inf, -np.inf).reshape(np.shape(x))
+        return np.nextafter(np.nextafter(real(x), away), away)
+
+    assert (round_half_away(6.0 * skewed(a)) != np.array(want)).any()
+    monkeypatch.setattr(np, "log2", skewed)
+    assert spatial_term(a).tolist() == want
+
+
+def test_scalar_calls_return_python_numbers():
+    assert type(round_half_away(2.5)) is int
+    assert type(spatial_term(1.3)) is int
+    assert type(temporal_offset(2.0, 1.0, "B")) is int
+    assert type(adaptiveqp_offset(1.9)) is int
+    r = perceptual_qp(27, 1.3, 3, "G")
+    assert all(type(v) is int for v in (r.spatial_term, r.total_offset, r.qp))
+    assert type(normalized_activity(3.0, 5.0)) is float

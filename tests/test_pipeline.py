@@ -4,6 +4,8 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import reference_codec
 import test_reference_codec
 from spectralpq import entropy
 from spectralpq import frames as frames_mod
-from spectralpq import pipeline
+from spectralpq import perceptual, pipeline
 from spectralpq.corpus import noise_patches, static_gradient
 from reference_codec import reference_decode
 from spectralpq.entropy import LEVEL_LIMIT, WINDOW_BITS, BitWriter
@@ -877,3 +879,88 @@ def test_blocks_longer_than_a_window_stay_in_the_parser(monkeypatch):
     assert windows[0][0] == starts[0]
     for (start, _), (before, width) in zip(windows[1:], windows):
         assert start == starts[(starts >= before) & (ends > before + width)].min()
+
+
+def _scalar_frame_cbs(config, idx, orig, tree, motion):
+    """A frame's CbStat rows from scalar calls of the perceptual functions,
+    one channel block at a time: the reference for the encoder's columns."""
+    n = tree.cu_size
+    gs = {ch: [perceptual.cb_activity(orig[c, y : y + n, x : x + n]) for x, y in
+               ((cu.x, cu.y) for cu in tree)] for c, ch in enumerate(PLANE_ORDER)}
+    means = {ch: perceptual.frame_mean_activity(gs[ch]) for ch in PLANE_ORDER}
+    f = motion.mean_magnitude if motion else 0.0
+    rows = []
+    for i in range(len(gs["G"])):
+        d = motion.magnitudes[i] if motion else 0.0
+        a, z, offset, qp = 0.0, 0, 0, config.base_qp
+        if config.mode == "anchor-adaptiveqp":
+            a = perceptual.normalized_activity(gs["G"][i], means["G"])
+            offset = perceptual.adaptiveqp_offset(a)
+            qp = min(max(config.base_qp + offset, 0), 51)
+        for ch in PLANE_ORDER:
+            if config.mode == "spectral-pq":
+                a = perceptual.normalized_activity(gs[ch][i], means[ch])
+                z = perceptual.temporal_offset(d, f, ch) if motion else 0
+                pqp = perceptual.perceptual_qp(config.base_qp, a, z, ch)
+                offset, qp = pqp.total_offset, pqp.qp
+            rows.append(pipeline.CbStat(idx, i, ch, gs[ch][i], means[ch], a, d, f, z, offset, qp))
+    return rows
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_frame_cbs_columns_equal_scalar_rows(mode, bit_depth):
+    # The encoder's array statistics equal, row by row, what the scalar
+    # perceptual functions give one channel block at a time, in I and P frames.
+    frames = _moving_frames(130, 70, 2, seed=bit_depth)
+    top = (1 << bit_depth) - 1
+    frames = [Frame(f.width, f.height, bit_depth, tuple(p.astype(np.uint16) * top // 255
+                                                        for p in f.planes)) for f in frames]
+    config = EncoderConfig(base_qp=45, mode=mode, cu_size=16)
+    tree = frames_mod.partition(frames[0], config.cu_size)
+    orig = [frames_mod.pad_plane(np.stack(f.planes), frames_mod.DEFAULT_CTU_SIZE) for f in frames]
+    motion = pipeline.estimate_motion_field(orig[1][0], orig[0][0].astype(np.int32), tree, 4)
+    assert len(set(motion.magnitudes)) > 1
+    for idx, field in ((0, None), (1, motion)):
+        got = pipeline._frame_cbs(config, idx, orig[idx], tree, field)
+        want = _scalar_frame_cbs(config, idx, orig[idx], tree, field)
+        assert list(got) == want
+        assert [type(v) for v in astuple(got[-1])] == [type(v) for v in astuple(want[-1])]
+        assert got.qp.tolist() == np.reshape([cb.qp for cb in want], (-1, 3)).tolist()
+
+
+def test_frame_stats_cb_reads_as_a_sequence_of_rows():
+    frames = _noise_frames(2, seed=5)
+    stats = encode_sequence(frames, EncoderConfig(base_qp=30, cu_size=16, gop_length=1)).stats
+    other = encode_sequence(frames[:1], EncoderConfig(base_qp=30, cu_size=16)).stats
+    cb = stats.frames[1].cb
+    rows = list(cb)
+    assert len(cb) == len(rows) == 3 * 16
+    assert [(r.frame, r.cu, r.channel) for r in rows[:4]] == [
+        (1, 0, "G"), (1, 0, "B"), (1, 0, "R"), (1, 1, "G")]
+    assert cb[0] == rows[0] and cb[-1] == rows[-1] == cb[len(cb) - 1]
+    assert cb[3:6] == rows[3:6] and cb[-2:] == rows[-2:] and cb[::7] == rows[::7]
+    assert cb[40:100] == rows[40:] and cb[5:2] == []
+    for index in (len(cb), -len(cb) - 1):
+        with pytest.raises(IndexError):
+            cb[index]
+    assert cb == rows and rows == cb and cb != rows[:-1]
+    assert stats.frames[0].cb == other.frames[0].cb and stats.frames[0].cb != cb
+    assert not hasattr(cb, "__setitem__") and not hasattr(cb, "append")
+
+
+def test_encoder_statistics_keep_few_bytes_per_channel_block():
+    # A CbStat object per channel block kept about 187 bytes each for the
+    # whole sequence; the columns keep about 22.
+    frames = _noise_frames(1, size=256, seed=9)          # 1,024 CUs at CU 8
+    config = EncoderConfig(base_qp=32, cu_size=8)
+    encode_sequence(frames, config)                     # first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        stats = encode_sequence(frames, config).stats
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    blocks = sum(len(f.cb) for f in stats.frames)
+    assert blocks == 3 * 1024
+    assert kept / blocks <= 48

@@ -9,12 +9,14 @@ columns.  Each CU size runs in a fresh process, so its peak RSS is that
 encode and decode alone.  Each prints one line:
 
     cu_size=8 encode_s_per_frame=... decode_s_per_frame=...
-        motion_us_per_cu=... peak_rss_mib=... encode_faults=... decode_faults=...
+        motion_us_per_cu=... frame_cbs_ms_per_frame=... peak_rss_mib=...
+        encode_faults=... decode_faults=...
 
 Motion search is the wall time of `estimate_motion_field` over the CUs it
-searched.  The faults are the process's minor page faults during the
-encode and during the decode (the `ru_minflt` difference around each
-call).  Exits 1 if the decoded frames differ from the encoder's
+searched, and `frame_cbs_ms_per_frame` that of the encoder's block
+statistics and QPs (`pipeline._frame_cbs`) over the frames.  The faults
+are the process's minor page faults during the encode and during the
+decode (the `ru_minflt` difference around each call).  Exits 1 if the decoded frames differ from the encoder's
 reconstruction.  It is not a test file, so pytest does not collect it; a
 run takes about half a minute.
 """
@@ -56,6 +58,7 @@ def _measure(cu_size: int) -> int:
     from spectralpq import pipeline
 
     search, motion_s, cus = pipeline.estimate_motion_field, [], []
+    frame_cbs, frame_cbs_s = pipeline._frame_cbs, []
 
     def timed_search(*args):
         start = time.perf_counter()
@@ -64,7 +67,14 @@ def _measure(cu_size: int) -> int:
         cus.append(len(field.vectors))
         return field
 
+    def timed_frame_cbs(*args):
+        start = time.perf_counter()
+        cbs = frame_cbs(*args)
+        frame_cbs_s.append(time.perf_counter() - start)
+        return cbs
+
     pipeline.estimate_motion_field = timed_search
+    pipeline._frame_cbs = timed_frame_cbs
     def timed(call, *args):
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
@@ -79,7 +89,9 @@ def _measure(cu_size: int) -> int:
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"cu_size={cu_size} encode_s_per_frame={encode_s / len(frames):.3f} "
           f"decode_s_per_frame={decode_s / len(frames):.3f} "
-          f"motion_us_per_cu={1e6 * sum(motion_s) / sum(cus):.1f} peak_rss_mib={peak_mib:.1f} "
+          f"motion_us_per_cu={1e6 * sum(motion_s) / sum(cus):.1f} "
+          f"frame_cbs_ms_per_frame={1e3 * sum(frame_cbs_s) / len(frame_cbs_s):.1f} "
+          f"peak_rss_mib={peak_mib:.1f} "
           f"encode_faults={encode_faults} decode_faults={decode_faults}", flush=True)
     same = all(np.array_equal(d.planes, r.planes) for d, r in zip(decoded, result.reconstruction))
     return 0 if same else 1
