@@ -83,7 +83,8 @@ def cb_activity(cb: np.ndarray):
     quads = tiles(cb, n)
     sums_bounded = (n * n << 8 * cb.dtype.itemsize) ** 2 < 1 << 53
     if cb.dtype.kind in "iu" and not n & (n - 1) and sums_bounded:
-        x = quads.astype(np.int64).reshape(*quads.shape[:-4], 4, n * n)
+        # C order keeps the reshape a view: astype copies a strided view in its own layout.
+        x = quads.astype(np.int64, order="C").reshape(*quads.shape[:-4], 4, n * n)
         sums = x.sum(axis=-1)
         spread = n * n * np.einsum("...i,...i->...", x, x) - sums * sums
         g = 1.0 + spread.min(axis=-1) / (n ** 4)
