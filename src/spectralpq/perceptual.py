@@ -37,8 +37,6 @@ class PerceptualConstants:
 
 
 DEFAULT_CONSTANTS = PerceptualConstants()
-# Far above the few-ulp gap between np.log2 and math.log2, times 6.
-_HALF_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,8 @@ def spatial_term(a):
     """round_half_away(6 log2 a) as math.log2 gives it, elementwise for
     arrays.  np.log2 may differ from math.log2 in the last bit, which moves
     the rounding only next to a half, so the terms of an array whose 6 log2 a
-    lies within _HALF_SLACK of a half are recomputed with math.log2."""
+    lies within 1e-9 of a half are recomputed with math.log2: far more
+    than the few-ulp gap between the two, times 6."""
     if not np.ndim(a):
         return round_half_away(6.0 * math.log2(a))
     a = np.asarray(a)
@@ -143,7 +142,7 @@ def spatial_term(a):
     t *= 6.0
     term = round_half_away(t)
     t -= term
-    near = np.abs(t, out=t) > 0.5 - _HALF_SLACK
+    near = np.abs(t, out=t) > 0.5 - 1e-9
     if near.any():
         term[near] = [spatial_term(v) for v in a[near].tolist()]
     return term

@@ -16,9 +16,9 @@ Motion search is the wall time of `estimate_motion_field` over the CUs it
 searched, and `frame_cbs_ms_per_frame` that of the encoder's block
 statistics and QPs (`pipeline._frame_cbs`) over the frames.  The faults
 are the process's minor page faults during the encode and during the
-decode (the `ru_minflt` difference around each call).  Exits 1 if the decoded frames differ from the encoder's
-reconstruction.  It is not a test file, so pytest does not collect it; a
-run takes about half a minute.
+decode (the `ru_minflt` difference around each call).  Exits 1 if the
+decoded frames differ from the encoder's reconstruction.  It is not a test
+file, so pytest does not collect it; a run takes about half a minute.
 """
 
 from __future__ import annotations
