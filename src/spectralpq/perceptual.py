@@ -28,6 +28,7 @@ import numpy as np
 
 from .frames import _quadrant_size, tiles
 from .quantizer import QP_MAX, QP_MIN
+from .transform import _round_half_away
 
 @dataclass(frozen=True)
 class PerceptualConstants:
@@ -58,9 +59,7 @@ def round_half_away(x):
     """x rounded to the nearest integer, halves away from zero: an int, or an
     int64 array for an array x."""
     if np.ndim(x):
-        r = np.abs(x)
-        r += 0.5
-        return np.copysign(np.floor(r, out=r), x, out=r).astype(np.int64)
+        return _round_half_away(x)
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 

@@ -298,16 +298,18 @@ def _code_batch(orig, recon, prev, x, y, mvs, qps, config, spec, bit_depth) -> n
 
 
 def _batches(tree, wavefront: bool):
-    """A frame's CUs in batches of at most RECONSTRUCT_LEVELS levels (one CU at
-    least), each as (run, x, y) arrays of raster indices and corners: raster
-    runs, or with `wavefront` the grid's anti-diagonals, whose CUs DC-predict
-    only from earlier diagonals (the CUs above and to the left)."""
+    """Yield a frame's CUs in batches of at most RECONSTRUCT_LEVELS levels (one CU
+    at least), each made as the walk takes it, as (run, x, y) arrays of raster
+    indices and corners: raster runs, or with `wavefront` the grid's anti-diagonals,
+    whose CUs DC-predict only from earlier diagonals (the CUs above and to the left)."""
     (rows, cols), n = tree.grid_shape, tree.cu_size
-    runs = [[r * cols + d - r for r in range(max(0, d - cols + 1), min(d, rows - 1) + 1)]
-            for d in range(rows + cols - 1)] if wavefront else [range(rows * cols)]
+    runs = ([r * cols + d - r for r in range(max(0, d - cols + 1), min(d, rows - 1) + 1)]
+            for d in range(rows + cols - 1)) if wavefront else [range(rows * cols)]
     step = max(1, RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * n * n))
-    batches = [np.array(run[k : k + step]) for run in runs for k in range(0, len(run), step)]
-    return [(run, run % cols * n, run // cols * n) for run in batches]
+    for run in runs:
+        for k in range(0, len(run), step):
+            batch = np.array(run[k : k + step])
+            yield batch, batch % cols * n, batch // cols * n
 
 
 def _crop(recon, shape) -> Frame:
@@ -360,7 +362,6 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     recon_frames = []
     prev_recon = None
     tree = partition(first, config.cu_size)
-    batches = {intra: _batches(tree, intra) for intra in (False, True)}
     stats = SequenceStats(grid_shape=tree.grid_shape)
 
     for idx, frame in enumerate(frames):
@@ -381,7 +382,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
                else np.array([(v.vx, v.vy) for v in motion.vectors]))
         prev = None if intra else windows(prev_recon, tree.cu_size)
         ready, written = {}, 0
-        for run, x, y in batches[intra]:
+        for run, x, y in _batches(tree, intra):
             levels = _code_batch(orig, recon, prev, x, y, mvs[run], qps[run], config, spec,
                                  bit_depth)
             ready.update(zip(run.tolist(), levels))
@@ -405,12 +406,12 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
     return EncodeResult(writer.getvalue(), stats, recon_frames)
 
 
-def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, bit_depth, spec):
+def _read_frame(reader, stream_bits, parser, tree, levels, prev_recon, bit_depth, spec):
     """Parse and reconstruct a frame's CUs after its type bit, with
     motion-compensated prediction from `prev_recon` (None for an intra
-    frame).  Each of the raster `batches` is parsed into the first K * 3 rows
-    of `levels`, zeroed first, and into (K, 3) QP and (K, 2) MV arrays, then
-    flushed from `parser` and reconstructed before the next batch is parsed."""
+    frame).  Each raster batch is made as the parse reaches it, parsed into
+    the first K * 3 rows of `levels`, zeroed first, and into (K, 3) QP and
+    (K, 2) MV arrays, then flushed from `parser` and reconstructed."""
     n, size = len(PLANE_ORDER), tree.cu_size
     # Each CU takes at least its QP fields and block tokens.  A frame that the
     # rest of the stream cannot hold ends in a DecodeError, so it is parsed
@@ -420,7 +421,7 @@ def _read_frame(reader, stream_bits, parser, tree, batches, levels, prev_recon, 
     recon = np.zeros((n, tree.height, tree.width), dtype=PLANE_DTYPE) if fits else None
     inter = prev_recon is not None
     prev = windows(prev_recon, size) if inter else None
-    for run, x, y in batches:
+    for run, x, y in _batches(tree, wavefront=False):
         qps = np.empty((len(run), n), dtype=np.int64)
         mvs = np.empty((len(run), 2), dtype=np.int64) if inter else None
         rows = levels[: n * len(run)]
@@ -457,9 +458,9 @@ def decode_sequence(data: bytes) -> list:
     tree = partition(header, cu_size)
     spec = make_spec(cu_size, "DCT", bit_depth)
 
-    batches = _batches(tree, wavefront=False)
-    # The level rows of one batch, reused by every batch of every frame.
-    levels = np.empty((len(PLANE_ORDER) * batches[0][0].size, cu_size ** 2), dtype=np.int32)
+    # A batch's level rows (at most RECONSTRUCT_LEVELS, or one CU's), reused by every batch.
+    levels = np.empty((max(RECONSTRUCT_LEVELS // cu_size ** 2, len(PLANE_ORDER)), cu_size ** 2),
+                      dtype=np.int32)
     parser = BlockParser(reader, cu_size, levels)
     frames = []
     prev_recon = None
@@ -468,7 +469,7 @@ def decode_sequence(data: bytes) -> list:
             inter = reader.read_uint(1)
             if inter and idx == 0:
                 raise DecodeError(f"frame {idx} is inter but no reference exists")
-            prev_recon = _read_frame(reader, 8 * len(data), parser, tree, batches, levels,
+            prev_recon = _read_frame(reader, 8 * len(data), parser, tree, levels,
                                      prev_recon if inter else None, bit_depth, spec)
             frames.append(_crop(prev_recon, header))
     except DecodeError:

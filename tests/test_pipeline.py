@@ -340,25 +340,64 @@ def test_frame_beyond_decoder_sample_limit_rejected():
         encode_sequence([frame], EncoderConfig(base_qp=22))
 
 
-def test_decode_work_bounded_by_stream(monkeypatch):
-    # A 20-byte stream whose header claims 8192x8192 at cu_size 8: the decoder
-    # must fail on the first CU, not walk the 1,048,576 CUs the header implies.
-    built = []
+def _count_batch_cus(patch):
+    # Spy on the decoder's walk: the CUs of each batch pipeline._batches
+    # makes, counted as the batch is made.
+    made = []
+    batches = pipeline._batches
 
-    class CountingCU(frames_mod.CodingUnit):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting(*args, **kwargs):
+        for batch in batches(*args, **kwargs):
+            made.append(batch[0].size)
+            yield batch
 
-    monkeypatch.setattr(frames_mod, "CodingUnit", CountingCU)
+    patch.setattr(pipeline, "_batches", counting)
+    return made
+
+
+def _most_cus_made(stream, cu_size):
+    # Every CU the decoder finishes took at least its three QP fields and
+    # three block tokens (I and P frames alike), so a stream of B bits holds
+    # at most B / that many; the decoder may make one batch past them.
+    cu_bits = len(PLANE_ORDER) * (QP_FIELD_BITS + (cu_size * cu_size).bit_length())
+    batch = max(1, pipeline.RECONSTRUCT_LEVELS // (len(PLANE_ORDER) * cu_size * cu_size))
+    return batch + 8 * len(stream) // cu_bits
+
+
+def _oversize_stream(cu_size):
+    # A 20-byte stream whose header claims one 8192x8192 frame.
     writer = BitWriter()
-    StreamHeader(8192, 8192, 8, 30, 8, 0, 27, 1).write(writer)
-    data = writer.getvalue() + bytes(4)
+    StreamHeader(8192, 8192, 8, 30, cu_size, 0, 27, 1).write(writer)
+    return writer.getvalue() + bytes(4)
+
+
+def test_decode_work_bounded_by_stream(monkeypatch):
+    # At cu_size 8 the decoder must fail in the first batch, not make the
+    # batches of the 1,048,576 CUs the header implies.
+    data = _oversize_stream(8)
     assert len(data) == 20
+    made = _count_batch_cus(monkeypatch)
     with pytest.raises(DecodeError) as err:
         decode_sequence(data)
     assert str(err.value) == "bitstream truncated: need 7 bits at bit offset 154, stream has 160"
-    assert len(built) <= 1
+    assert 0 < sum(made) <= _most_cus_made(data, 8)
+
+
+@pytest.mark.parametrize("cu_size", [8, 16, 32])
+def test_oversize_header_decode_keeps_little_memory(cu_size):
+    # A batch list for the whole 8192x8192 grid peaked at 29.0 MiB at cu_size
+    # 8 (11.1 and 6.9 MiB at 16 and 32) before the 20-byte stream failed.
+    data = _oversize_stream(cu_size)
+    with pytest.raises(DecodeError):
+        decode_sequence(data)                           # first-call caches outside the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError):
+            decode_sequence(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,9 +412,8 @@ def _coded(content, count, cu_size, bit_depth):
        cu_size=st.sampled_from([8, 16, 32]), bit_depth=st.sampled_from([8, 10]),
        data=st.data())
 def test_decode_work_bounded_by_stream_bits(content, count, cu_size, bit_depth, data):
-    # Every CU the decoder finishes took at least its three QP fields and
-    # three block tokens (I and P frames alike), so a stream of B bits makes
-    # at most 1 + B / that many CUs, whatever its header claims.
+    # A stream of B bits makes batches of at most one batch plus the CUs its
+    # bits can hold, whatever its header claims.
     stream = bytearray(_coded(content, count, cu_size, bit_depth))
     if data.draw(st.booleans(), "oversize header"):
         header = stream_header(bytes(stream))
@@ -385,21 +423,16 @@ def test_decode_work_bounded_by_stream_bits(content, count, cu_size, bit_depth, 
         stream[4:8] = width.to_bytes(2, "big") + height.to_bytes(2, "big")
         stream[14:16] = frames.to_bytes(2, "big")
     stream = bytes(stream[: data.draw(st.integers(0, len(stream)), "length")])
-    built = []
-
-    class CountingCU(frames_mod.CodingUnit):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frames_mod, "CodingUnit", CountingCU)
+        made = _count_batch_cus(patch)
         try:
             decode_sequence(stream)
         except DecodeError:
             pass
-    cu_bits = len(PLANE_ORDER) * (QP_FIELD_BITS + (cu_size * cu_size).bit_length())
-    assert len(built) <= 1 + 8 * len(stream) // cu_bits
+    assert sum(made) <= _most_cus_made(stream, cu_size)
+    header_bits = 8 * len(pipeline.MAGIC) + sum(pipeline.HEADER_FIELDS.values())
+    if 8 * len(stream) > header_bits:                  # the first frame's type bit is there
+        assert made
 
 
 def test_decoder_rejects_bad_header_fields():
