@@ -6,9 +6,10 @@ coding, so level_bits() is the exact emitted length and the RDOQ rate term
 is truthful for this bitstream.
 
 The writer defers packing: write_uint and encode_block record (value,
-length) codes, and BitWriter packs the pending codes into bytes in one
-vectorized step once PACK_CODES are pending and at getvalue().  A block
-costs a few array operations on its coded levels, not one per bit.
+length) codes in two buffers allocated once per writer, and BitWriter packs
+the pending codes into bytes in one vectorized step once PACK_CODES are
+pending and at getvalue().  A block costs a few array operations on its
+coded levels, not one per bit.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecodeError, EncodeError
+from .frames import CU_SIZES
 
 LEVEL_LIMIT = 1 << 15
 MAX_PREFIX_ZEROS = 32   # longest exp-Golomb prefix the decoder accepts
 WINDOW_BITS = 1 << 14   # widest level window; its 11 jump tables take 1.4 MiB
 PACK_CODES = 1 << 13    # pending codes that make a BitWriter pack
+RUN_CODES = max(CU_SIZES) ** 2   # longest run a write records: a largest block's levels
 
 
 class BitWriter:
@@ -32,14 +35,18 @@ class BitWriter:
 
     Writes are recorded as codes of at most 64 bits, (value, length) pairs,
     and packed into bytes in one vectorized step once PACK_CODES are
-    pending, and at getvalue().  tell() counts the pending bits too.
+    pending, and at getvalue().  Fewer than PACK_CODES are pending before a
+    write, which records at most RUN_CODES, so two buffers made with the
+    writer hold them all (72 KiB each, under glibc's 128 KiB mmap
+    threshold); a write_uint wider than a run is recorded a run at a time.
+    tell() counts the pending bits too.
     """
 
     def __init__(self):
         self._data = bytearray()      # packed whole bytes
         self._tail = self._ntail = 0  # the packed bits after them, fewer than 8
-        self._values = np.empty(64, dtype=np.uint64)   # pending codes
-        self._lengths = np.empty(64, dtype=np.int64)
+        self._values = np.empty(PACK_CODES + RUN_CODES, dtype=np.uint64)   # pending codes
+        self._lengths = np.empty(PACK_CODES + RUN_CODES, dtype=np.int64)
         self._count = 0
         self._nbits = 0
 
@@ -54,11 +61,11 @@ class BitWriter:
             words = -(-nbits // 64)
             lengths = np.full(words, 64)
             lengths[0] = nbits - 64 * (words - 1)
-            self.write_codes(np.frombuffer(int(value).to_bytes(8 * words, "big"), ">u8"), lengths)
+            values = np.frombuffer(int(value).to_bytes(8 * words, "big"), ">u8")
+            for k in range(0, words, RUN_CODES):
+                self.write_codes(values[k : k + RUN_CODES], lengths[k : k + RUN_CODES])
         elif nbits:
             i = self._count
-            if i == len(self._values):
-                self._reserve(i + 1)
             self._values[i] = value
             self._lengths[i] = nbits
             self._count = i + 1
@@ -67,28 +74,17 @@ class BitWriter:
                 self._pack()
 
     def write_codes(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        """Append a run of codes: values[k] in lengths[k] bits, 1 to 64 bits
-        each.  Unchecked: callers derive the lengths from the values."""
+        """Append a run of at most RUN_CODES codes: values[k] in lengths[k]
+        bits, 1 to 64 bits each.  Unchecked: callers derive the lengths from
+        the values and keep to the run bound."""
         i = self._count
         j = i + len(values)
-        if j > len(self._values):
-            self._reserve(j)
         self._values[i:j] = values
         self._lengths[i:j] = lengths
         self._count = j
         self._nbits += int(lengths.sum())
         if j >= PACK_CODES:
             self._pack()
-
-    def _reserve(self, size: int) -> None:
-        # Doubling, to at most room for PACK_CODES and a 32 x 32 block's levels
-        # unless a record needs more: the buffers stay under glibc's 128 KiB
-        # mmap threshold.
-        for name in ("_values", "_lengths"):
-            old = getattr(self, name)
-            new = np.empty(max(size, min(2 * len(old), PACK_CODES + 1024)), dtype=old.dtype)
-            new[: self._count] = old[: self._count]
-            setattr(self, name, new)
 
     def _pack(self) -> None:
         """Pack the pending codes after the tail bits into 64-bit big-endian
@@ -201,9 +197,8 @@ class _Window:
     """
 
     def __init__(self, data: bytes, start: int, width: int):
-        # The window's bytes, zero-padded to whole 8-byte words and one more.
-        chunk = data[start >> 3 : (start + width + 7) >> 3]
-        chunk = np.frombuffer(chunk + bytes(8 + -len(chunk) % 8), dtype=np.uint8)
+        # The window's bytes and 8 zero bytes, so that a whole word starts at each of them.
+        chunk = np.frombuffer(data[start >> 3 : (start + width + 7) >> 3] + bytes(8), np.uint8)
         bits = np.empty(width + 1, dtype=np.uint8)
         bits[:width] = np.unpackbits(chunk)[start & 7 : (start & 7) + width]
         bits[width] = 1
@@ -218,12 +213,10 @@ class _Window:
         code_end = jump[:-1]
         np.subtract(2 * next_one + 1, p, out=code_end)
         code_end[(next_one - p > MAX_PREFIX_ZEROS) | (code_end > width)] = width + 1
-        # words[b]: the bits of the 64-bit big-endian word at byte b.
-        words = np.empty((len(chunk) // 8 - 1, 8), dtype=np.int64)
-        for b in range(8):
-            words[:, b] = np.frombuffer(chunk, ">u8", len(words), b)
+        # words[b]: the bits of the 64-bit big-endian word at byte b, in one strided cast.
+        words = np.ndarray(len(chunk) - 7, ">i8", chunk, 0, (1,)).astype(np.int64)
         self.start, self.width = start, width
-        self._shift, self._words = start & 7, words.ravel()
+        self._shift, self._words = start & 7, words
         self._jumps = [jump]
 
     def _jump(self, k: int) -> np.ndarray:
@@ -411,6 +404,8 @@ def encode_block(levels: np.ndarray, writer: BitWriter) -> int:
     n = levels.shape[0]
     if levels.shape != (n, n):
         raise EncodeError(f"level block must be square, got {levels.shape}")
+    if n * n > RUN_CODES:
+        raise EncodeError(f"level block {levels.shape} has more than {RUN_CODES} levels")
     scan, token = _scan(levels)
     prefix = scan[:token].astype(np.int64)
     magnitude = np.abs(prefix)

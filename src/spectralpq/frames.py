@@ -129,8 +129,9 @@ def load_sequence(
     """Read a raw planar sequence file.
 
     frame_count=None reads every complete frame in the file; otherwise only
-    the bytes of the first frame_count frames are read.  Bad arguments
-    (checked before the file is read), a short file and out-of-range 10-bit
+    the bytes of the first frame_count frames are read, into one buffer that
+    the frames share: each plane is a view of it.  Bad arguments (checked
+    before the file is read), a short file and out-of-range 10-bit
     samples raise IngestionError; the last names the frame, plane, and byte
     offset of the first offending sample.
     """
@@ -163,8 +164,7 @@ def load_sequence(
             f"{path}: 10-bit sample {int(samples.flat[i])} > 1023 in frame {f}"
             f" plane {PLANE_ORDER[p]} at byte offset {2 * i}"
         )
-    return [Frame(width, height, bit_depth, tuple(plane.copy() for plane in planes))
-            for planes in samples]
+    return [Frame(width, height, bit_depth, tuple(planes)) for planes in samples]
 
 
 def save_sequence(path, frames: list[Frame]) -> None:

@@ -45,7 +45,7 @@ SUB_BLOCK = 4    # side of the sub-blocks whose sums bound the SAD
 DESCEND_SAMPLES = 1 << 17  # survivors x block samples from which level 2 pays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionVector:
     vx: int
     vy: int

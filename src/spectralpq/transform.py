@@ -128,7 +128,7 @@ def forward(block: np.ndarray, spec: TransformSpec) -> np.ndarray:
     if block.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"block shape {block.shape} does not match spec size {spec.size}")
     basis, limit = _float_basis(spec.kind, spec.size, False)
-    x = block.astype(np.int64)
+    x = np.asarray(block, dtype=np.int64)
     peak = _max_magnitude(x)
     if peak > limit:
         raise StructuralError(f"block magnitude {peak} exceeds the transform limit {limit}")
@@ -142,7 +142,7 @@ def inverse(coeffs: np.ndarray, spec: TransformSpec) -> np.ndarray:
     if coeffs.shape[-2:] != (spec.size, spec.size):
         raise StructuralError(f"coeff shape {coeffs.shape} does not match spec size {spec.size}")
     basis, limit = _float_basis(spec.kind, spec.size, True)
-    c = coeffs.astype(np.int64)
+    c = np.asarray(coeffs, dtype=np.int64)
     if _max_magnitude(c) <= limit:
         c = c.astype(np.float64)
         return _shift_round((basis @ c @ basis.T).astype(np.int64), spec.inverse_shift)

@@ -221,6 +221,30 @@ def test_writer_packs_across_the_default_bound(monkeypatch):
     assert max(packs) <= entropy.PACK_CODES + 32 * 32
 
 
+def test_writer_keeps_its_buffers_through_every_kind_of_write():
+    # The pending codes go through the two arrays made with the writer: a
+    # 130-bit field, dense 32x32 blocks across several packs, and a field
+    # of 100,000 bits, wider than one run of codes.
+    rng = np.random.default_rng(26)
+    got, want = BitWriter(), reference_codec.BitWriter()
+    buffers = got._values, got._lengths
+    for w in (got, want):
+        w.write_uint((1 << 130) - 3, 130)
+    for _ in range(30):
+        levels = rng.integers(-300, 301, (32, 32))
+        assert encode_block(levels, got) == reference_codec.encode_block(levels, want)
+    wide = int.from_bytes(rng.bytes(12_500), "big")
+    for w in (got, want):
+        w.write_uint(wide, 100_000)
+    assert got._values is buffers[0] and got._lengths is buffers[1]
+    assert got.tell() == want.tell() and got.getvalue() == want.getvalue()
+
+
+def test_encode_block_rejects_a_block_larger_than_a_run():
+    with pytest.raises(EncodeError, match="more than 1024 levels"):
+        encode_block(np.zeros((64, 64), dtype=np.int64), BitWriter())
+
+
 def test_level_overflow_rejected():
     levels = np.zeros((4, 4), dtype=np.int64)
     levels[0, 0] = (1 << 15) + 1

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,24 @@ def test_frame_count_default_reads_whole_frames(tmp_path):
     p = tmp_path / "seq.raw"
     p.write_bytes(bytes(12 * 2 + 5))  # two complete frames plus garbage tail
     assert len(load_sequence(p, 2, 2, 8)) == 2
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_load_holds_the_bytes_it_reads_once(tmp_path, bit_depth):
+    # The frames' planes are views of the one array the file is read into:
+    # a copy per frame would take the peak to twice the bytes read.
+    rng = np.random.default_rng(bit_depth)
+    raw = b"".join(_raw_frame_bytes(320, 240, bit_depth, rng) for _ in range(4))
+    p = tmp_path / "seq.raw"
+    p.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        frames = load_sequence(p, 320, 240, bit_depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * len(raw)
+    assert b"".join(plane.tobytes() for f in frames for plane in f.planes) == raw
 
 
 def _frame(width, height, fill=0, bit_depth=8):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +111,25 @@ def test_field_mean_and_translation_consistency():
         if 0 < r < rows - 1 and 0 < c < cols - 1:  # interior only (no wrap seam)
             assert (field.vectors[idx].vx, field.vectors[idx].vy) == (-a, -b)
             assert field.magnitudes[idx] == pytest.approx(np.hypot(a, b))
+
+
+def test_motion_field_keeps_under_100_bytes_per_cu():
+    # A vector, its magnitude and their two list entries: a vector with a
+    # __dict__ alone took the field to about 128 bytes per CU.
+    rng = np.random.default_rng(26)
+    ref = rng.integers(0, 256, (256, 256)).astype(np.int64)
+    cur = np.roll(ref, shift=(3, -2), axis=(0, 1))
+    tree = partition(_frame_from_plane(ref), 8)
+    estimate_motion_field(cur, ref, tree, 4)    # warm numpy's small-block caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field = estimate_motion_field(cur, ref, tree, 4)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(field.vectors) == 1024
+    assert kept / 1024 <= 100
 
 
 # Differential test: the pruned search against a per-CU brute force that
