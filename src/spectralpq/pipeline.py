@@ -1,20 +1,20 @@
 """Closed-loop encoder and decoder with the "SPQ1" container.
 
-GOP structure is IPPP: frame 0 and every gop-th frame is intra (DC
-prediction per channel block), the rest are inter predicted from the
-previous reconstruction with one full-pel motion vector per CU.  Every CU
-carries three explicit channel QPs in the stream, so the decoder never
-recomputes perceptual statistics.  Both sides code a frame's CUs in
-cache-sized batches of at most RECONSTRUCT_LEVELS levels, so the working set
-does not grow with the frame.  A batch is plain arrays: its CUs' raster
-indices and corners, (K, 3) QPs and (K, 2) motion vectors.  Its source
-blocks and its motion-compensated prediction are each one gather, and the
-shared _reconstruct makes one transform call, one quantizer call per QP and
-one store.  The encoder batches an intra frame by anti-diagonals (a
-wavefront) and writes each CU as soon as the CUs before it in raster order
-are coded.  The decoder reconstructs each raster batch as soon as it is
-parsed, in one level buffer.  The decoder's output is bit-exact equal to the
-encoder's own reconstruction; that identity is the codec's master invariant.
+GOP structure is IPPP: frame 0 and every gop-th frame is intra (DC prediction per
+channel block), the rest are inter predicted from the previous reconstruction with
+one full-pel motion vector per CU.  Every CU carries three explicit channel QPs in
+the stream, so the decoder never recomputes perceptual statistics.  Both sides code
+a frame's CUs in cache-sized batches of at most RECONSTRUCT_LEVELS levels, so the
+working set does not grow with the frame.  A batch is plain arrays: its CUs' raster
+indices and corners, (K, 3) QPs and (K, 2) motion vectors.  Its source blocks and
+its motion-compensated prediction are each one gather, and the shared _reconstruct
+makes one transform call, one quantizer call per QP and one store.  The encoder
+batches an intra frame by anti-diagonals (a wavefront) and writes each CU as soon as
+the CUs before it in raster order are coded.  The decoder reconstructs each raster
+batch as soon as it is parsed, in one level buffer.  Pictures take the frames'
+sample type; residuals are int64, as `source - pred` wraps on an unsigned
+prediction.  The decoder's output is bit-exact equal to the encoder's own
+reconstruction; that identity is the codec's master invariant.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 from .entropy import BitReader, BitWriter, BlockParser, _token_bits, decode_block, encode_block
 from .errors import ConfigurationError, DecodeError
 from .frames import (
-    BIT_DEPTHS, CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _store_integers, pad_plane,
-    partition, tiles, windows,
+    BIT_DEPTHS, CU_SIZES, DEFAULT_CTU_SIZE, PLANE_ORDER, Frame, _sample_dtype, _store_integers,
+    pad_plane, partition, tiles, windows,
 )
 from .motion import MotionField, estimate_motion_field
 from .perceptual import (
@@ -48,7 +48,6 @@ MAGIC = b"SPQ1"
 MODES = ("anchor-flat", "anchor-adaptiveqp", "spectral-pq")
 QP_FIELD_BITS = 6
 MAX_FRAME_SAMPLES = 1 << 26    # cap on width * height, checked on encode and decode
-PLANE_DTYPE = np.int32         # reconstructions; residual and transform arithmetic is int64
 # Most levels coded or reconstructed per batch of a frame's CUs.  A batch's
 # int64 coefficient stack is then under 128 KiB at every CU size: it stays in
 # L2, and below glibc malloc's default mmap threshold, so the chain's
@@ -227,7 +226,7 @@ class SequenceStats:
 class EncodeResult:
     bitstream: bytes
     stats: SequenceStats
-    reconstruction: list    # encoder-side reconstructed frames, cropped
+    reconstruction: list    # cropped views of the padded reconstructions, which they keep alive
 
 
 def intra_predict_dc(
@@ -285,7 +284,8 @@ def _code_batch(orig, recon, prev, x, y, mvs, qps, config, spec, bit_depth) -> n
     and _reconstruct."""
     n = config.cu_size
     pred = _predict(recon, prev, x, y, mvs, n, bit_depth)
-    coeffs = forward(tiles(orig, n)[:, y // n, x // n].swapaxes(0, 1) - pred, spec)
+    coeffs = forward(np.subtract(tiles(orig, n)[:, y // n, x // n].swapaxes(0, 1), pred,
+                                 dtype=np.int64), spec)
     levels = np.empty(coeffs.shape, dtype=np.int32)
     for qp in set(qps.ravel().tolist()):
         sel = qps == qp
@@ -313,7 +313,7 @@ def _batches(tree, wavefront: bool):
 
 
 def _crop(recon, shape) -> Frame:
-    """The visible part of a padded picture as a Frame shaped like `shape`."""
+    """The visible part of a padded picture as a Frame of views shaped like `shape`."""
     return Frame(shape.width, shape.height, shape.bit_depth,
                  tuple(recon[:, : shape.height, : shape.width]))
 
@@ -366,7 +366,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
 
     for idx, frame in enumerate(frames):
         orig = pad_plane(np.stack(frame.planes), DEFAULT_CTU_SIZE)
-        recon = np.zeros(orig.shape, dtype=PLANE_DTYPE)
+        recon = np.zeros_like(orig)
         intra = idx % config.gop_length == 0
 
         motion = None if intra else estimate_motion_field(
@@ -418,7 +418,7 @@ def _read_frame(reader, stream_bits, parser, tree, levels, prev_recon, bit_depth
     # without a picture: memory stays in proportion to the input.
     cu_bits = n * (QP_FIELD_BITS + _token_bits(size))
     fits = stream_bits - reader.tell() >= tree.grid_shape[0] * tree.grid_shape[1] * cu_bits
-    recon = np.zeros((n, tree.height, tree.width), dtype=PLANE_DTYPE) if fits else None
+    recon = np.zeros((n, tree.height, tree.width), _sample_dtype(bit_depth)) if fits else None
     inter = prev_recon is not None
     prev = windows(prev_recon, size) if inter else None
     for run, x, y in _batches(tree, wavefront=False):

@@ -5,6 +5,9 @@ Copies the checkout to a temporary directory, then turns each
 src/spectralpq/pipeline.py into `pass`, one at a time, and runs the entropy,
 pipeline and round-trip test files against that mutant.  A mutant survives
 when those tests still pass: nothing checks that its error is raised.
+Each run passes `--hypothesis-seed=0`, so every mutant meets the same
+Hypothesis draws and a run takes the same time: unseeded draws once kept
+one mutant's run going past 3 min 51 s, against 14-17 s alone.
 
     python tools/mutate_decode_errors.py
 
@@ -57,7 +60,8 @@ def _mutants(source: str):
 
 def _tests_pass(copy: Path) -> bool:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *TESTS]
     try:
         done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
