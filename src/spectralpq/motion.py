@@ -51,13 +51,18 @@ class MotionVector:
     vy: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
 class MotionField:
-    """Per-CU vectors of one inter frame plus the mean magnitude."""
+    """One inter frame's CU vectors, a read-only (K, 2) int64 column of (vx, vy) in raster
+    order, and their mean magnitude.  `vectors` and `magnitudes` are lists built on each read."""
 
-    vectors: list[MotionVector]
-    magnitudes: list[float]
+    mvs: np.ndarray
     mean_magnitude: float
+    vectors = property(lambda self: list(map(MotionVector, *self.mvs.T.tolist())))
+    magnitudes = property(lambda self: list(map(math.hypot, *self.mvs.T.tolist())))
+
+    def __eq__(self, other):    # the column sets the mean, so equal columns are equal fields
+        return isinstance(other, MotionField) and np.array_equal(self.mvs, other.mvs)
 
 
 def mv_magnitude(v: MotionVector) -> float:
@@ -95,10 +100,10 @@ class _Reference:
         span = self.windows.shape[-1] - 1
         return windows(pairs, span)[:, :, ::2, ::2]
 
-    def search(self, block, sums, x, y, search_range, seeds=()) -> MotionVector:
-        """The minimum-SAD vector of the block at (x, y); the SADs of (0, 0),
-        of the `seeds` that lie in the window and of the candidate with the
-        least 4x4 bound set the pruning threshold."""
+    def search(self, block, sums, x, y, search_range, seeds=()) -> tuple[int, int]:
+        """The minimum-SAD (vx, vy) of the block at (x, y); the SADs of (0, 0),
+        of the (vx, vy) `seeds` that lie in the window and of the candidate
+        with the least 4x4 bound set the pruning threshold."""
         rows, cols = self.windows.shape[:2]
         y_lo, y_hi = max(-search_range, -y), min(search_range, rows - 1 - y)
         x_lo, x_hi = max(-search_range, -x), min(search_range, cols - 1 - x)
@@ -109,8 +114,8 @@ class _Reference:
         bounds = np.abs(diffs, out=diffs).sum(axis=(0, 1), dtype=np.int32)
         wy, wx = divmod(int(bounds.argmin()), bounds.shape[1])
         tried = [(top + wy, left + wx)] + [
-            (y + v.vy, x + v.vx) for v in (MotionVector(0, 0), *seeds)
-            if y_lo <= v.vy <= y_hi and x_lo <= v.vx <= x_hi
+            (y + vy, x + vx) for vx, vy in ((0, 0), *seeds)
+            if y_lo <= vy <= y_hi and x_lo <= vx <= x_hi
         ]
         ty, tx = zip(*tried)
         threshold = _sads(self.windows[ty, tx], block).min()
@@ -126,7 +131,7 @@ class _Reference:
         best = np.flatnonzero(sads == sads.min())
         vy, vx = iy[best] - y, ix[best] - x
         pick = np.lexsort((vx, vy, vy * vy + vx * vx))[0] if best.size > 1 else 0
-        return MotionVector(int(vx[pick]), int(vy[pick]))
+        return int(vx[pick]), int(vy[pick])
 
 
 def _sads(stack: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -167,7 +172,7 @@ def estimate_mv(
     bottom, right = min(h, y + size + search_range), min(w, x + size + search_range)
     ref = _Reference(reference[top:bottom, left:right], size)
     block = current.astype(np.int32)
-    return ref.search(block, ref.block_sums(block), x - left, y - top, search_range)
+    return MotionVector(*ref.search(block, ref.block_sums(block), x - left, y - top, search_range))
 
 
 def estimate_motion_field(
@@ -176,7 +181,8 @@ def estimate_motion_field(
     tree: BlockTree,
     search_range: int,
 ) -> MotionField:
-    """Search every CU of the frame and aggregate the mean magnitude.
+    """Search every CU of the frame into a vector column; its mean magnitude
+    sums the vectors' magnitudes left to right.
 
     Each CU's pruning threshold also tries the final vectors of its left
     and top neighbours.
@@ -184,15 +190,11 @@ def estimate_motion_field(
     size = tree.cu_size
     ref = _Reference(reference_g, size)
     current = np.asarray(current_g, dtype=np.int32)
-    sub = ref.sub
-    sums = ref.block_sums(current)
-    cols = tree.grid_shape[1]
-    vectors = []
-    for i, cu in enumerate(tree):
-        left = vectors[i - 1 : i] if i % cols else []
-        top = vectors[i - cols : i - cols + 1] if i >= cols else []
-        block = current[cu.y : cu.y + size, cu.x : cu.x + size]
-        block_sums = sums[cu.y // sub : (cu.y + size) // sub, cu.x // sub : (cu.x + size) // sub]
-        vectors.append(ref.search(block, block_sums, cu.x, cu.y, search_range, left + top))
-    mags = [mv_magnitude(v) for v in vectors]
-    return MotionField(vectors, mags, frame_mean_magnitude(mags))
+    blocks, sums = tiles(current, size), tiles(ref.block_sums(current), size // ref.sub)
+    mvs = np.zeros((*tree.grid_shape, 2), dtype=np.int64)
+    for r, c in np.ndindex(tree.grid_shape):
+        seeds = mvs[r, c - 1 : c].tolist() + mvs[r - 1 : r, c].tolist()    # left, top
+        mvs[r, c] = ref.search(blocks[r, c], sums[r, c], c * size, r * size, search_range, seeds)
+    mvs = mvs.reshape(-1, 2)
+    mvs.flags.writeable = False
+    return MotionField(mvs, frame_mean_magnitude(map(math.hypot, *mvs.T.tolist())))

@@ -378,8 +378,7 @@ def encode_sequence(frames: list, config: EncoderConfig) -> EncodeResult:
         writer.write_uint(0 if intra else 1, 1)
 
         qps = cbs.qp
-        mvs = (np.empty((len(qps), 0), dtype=np.int64) if intra    # an I-frame codes no MVs
-               else np.array([(v.vx, v.vy) for v in motion.vectors]))
+        mvs = motion.mvs if motion else np.empty((len(qps), 0), dtype=np.int64)  # I: no MVs
         prev = None if intra else windows(prev_recon, tree.cu_size)
         ready, written = {}, 0
         for run, x, y in _batches(tree, intra):

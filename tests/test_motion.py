@@ -10,6 +10,7 @@ from spectralpq.corpus import high_motion_translation
 from spectralpq.errors import ConfigurationError, StructuralError
 from spectralpq.frames import BlockTree, Frame, box_sums, partition
 from spectralpq.motion import (
+    MotionField,
     MotionVector,
     _Reference,
     estimate_motion_field,
@@ -17,6 +18,7 @@ from spectralpq.motion import (
     frame_mean_magnitude,
     mv_magnitude,
 )
+from spectralpq.pipeline import EncoderConfig, _frame_cbs
 
 
 def test_mv_magnitude():
@@ -106,6 +108,13 @@ def test_field_mean_and_translation_consistency():
     field = estimate_motion_field(cur, ref, tree, 8)
     assert field.mean_magnitude == pytest.approx(frame_mean_magnitude(field.magnitudes))
     rows, cols = tree.grid_shape
+    assert field.mvs.shape == (rows * cols, 2) and field.mvs.dtype == np.int64
+    assert not field.mvs.flags.writeable
+    assert field.vectors == [MotionVector(*v) for v in field.mvs.tolist()]
+    assert estimate_motion_field(cur, ref, tree, 8) == field
+    changed = field.mvs.copy()
+    changed[5, 0] += 1
+    assert MotionField(changed, field.mean_magnitude) != field
     for idx, cu in enumerate(tree):
         r, c = idx // cols, idx % cols
         if 0 < r < rows - 1 and 0 < c < cols - 1:  # interior only (no wrap seam)
@@ -113,9 +122,9 @@ def test_field_mean_and_translation_consistency():
             assert field.magnitudes[idx] == pytest.approx(np.hypot(a, b))
 
 
-def test_motion_field_keeps_under_100_bytes_per_cu():
-    # A vector, its magnitude and their two list entries: a vector with a
-    # __dict__ alone took the field to about 128 bytes per CU.
+def test_motion_field_keeps_under_32_bytes_per_cu():
+    # A field keeps its (vx, vy) column, 16 bytes per CU; a MotionVector and
+    # a magnitude per CU, with their list entries, would take about 88.
     rng = np.random.default_rng(26)
     ref = rng.integers(0, 256, (256, 256)).astype(np.int64)
     cur = np.roll(ref, shift=(3, -2), axis=(0, 1))
@@ -128,8 +137,41 @@ def test_motion_field_keeps_under_100_bytes_per_cu():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(field.vectors) == 1024
-    assert kept / 1024 <= 100
+    assert len(field.mvs) == 1024
+    assert kept / 1024 <= 32
+
+
+def _moved_blocks(seed, size=8, rows=8, cols=8, reach=6):
+    """A noise plane and a plane each of whose CUs is copied from it at a
+    random in-frame (vx, vy) within `reach`; the vectors in raster order."""
+    rng = np.random.default_rng(seed)
+    h, w = rows * size, cols * size
+    ref = rng.integers(0, 256, (h, w)).astype(np.uint8)
+    cur = np.empty_like(ref)
+    vectors = []
+    for y in range(0, h, size):
+        for x in range(0, w, size):
+            vx = int(rng.integers(max(-reach, -x), min(reach, w - size - x) + 1))
+            vy = int(rng.integers(max(-reach, -y), min(reach, h - size - y) + 1))
+            cur[y : y + size, x : x + size] = ref[y + vy : y + vy + size, x + vx : x + vx + size]
+            vectors.append([vx, vy])
+    return cur, ref, vectors
+
+
+def test_mean_magnitude_is_the_left_to_right_mean():
+    # temporal_offset compares each magnitude with the mean, so the mean must
+    # be float(sum(...)) / len to the last bit; np.mean sums pairwise.
+    cur, ref, vectors = _moved_blocks(seed=0)
+    tree = BlockTree(64, 64, 8)
+    field = estimate_motion_field(cur, ref, tree, 6)
+    assert field.mvs.tolist() == vectors
+    mags = field.magnitudes
+    left_to_right = float(sum(mags)) / len(mags)
+    assert np.mean(mags) != left_to_right    # the draw tells the two sums apart
+    assert field.mean_magnitude == left_to_right
+    config = EncoderConfig(base_qp=27, mode="spectral-pq", cu_size=8)
+    cbs = _frame_cbs(config, 1, np.stack([cur, cur, cur]), tree, field)
+    assert cbs.frame_mean_magnitude == left_to_right
 
 
 # Differential test: the pruned search against a per-CU brute force that

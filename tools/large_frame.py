@@ -6,7 +6,11 @@ at QP 27 and decoded, at CU 32 and at CU 8.
 Each plane is a smooth sinusoidal texture plus Gaussian noise (sigma 6,
 seed 0); the two frames are crops of it, the second moved by 3 rows and 5
 columns.  Each CU size runs in a fresh process, so its peak RSS is that
-encode and decode alone.  Each prints one line:
+encode and decode alone.  That process starts with glibc's mmap and trim
+thresholds pinned at 128 KiB (MALLOC_MMAP_THRESHOLD_=131072 and
+MALLOC_TRIM_THRESHOLD_=131072, in its environment only): left to adapt,
+they let the peak move with the heap's layout, by more than most changes
+move the working set.  Each prints one line:
 
     cu_size=8 encode_s_per_frame=... decode_s_per_frame=...
         motion_us_per_cu=... frame_cbs_ms_per_frame=... peak_rss_mib=...
@@ -24,6 +28,7 @@ file, so pytest does not collect it; a run takes about half a minute.
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import subprocess
 import sys
@@ -35,6 +40,7 @@ WIDTH, HEIGHT = 1920, 1080
 SOURCE = (1088, 1928)     # rows, columns of the planes the frames are cropped from
 CROPS = ((0, 0), (3, 5))  # top-left corner of each frame's crop
 CU_SIZES = (32, 8)
+MALLOC_PINS = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}
 
 
 def _frames():
@@ -64,7 +70,7 @@ def _measure(cu_size: int) -> int:
         start = time.perf_counter()
         field = search(*args)
         motion_s.append(time.perf_counter() - start)
-        cus.append(len(field.vectors))
+        cus.append(len(field.mvs))
         return field
 
     def timed_frame_cbs(*args):
@@ -105,7 +111,8 @@ def main() -> int:
         return _measure(args.child)
     status = 0
     for cu_size in CU_SIZES:
-        status |= subprocess.call([sys.executable, __file__, "--child", str(cu_size)])
+        status |= subprocess.call([sys.executable, __file__, "--child", str(cu_size)],
+                                  env={**os.environ, **MALLOC_PINS})
     return status
 
 
