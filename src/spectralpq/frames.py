@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, IngestionError, StructuralError
 
@@ -197,13 +198,19 @@ def partition(frame: Frame, cu_size: int = 32) -> BlockTree:
 
 
 def box_sums(plane: np.ndarray, size: int) -> np.ndarray:
-    """Sum of every size x size window, indexed by its top-left corner, from a summed-area
-    table; integer planes sum in int64 (exact while the total fits), others in float64."""
-    dtype = np.result_type(plane.dtype, np.int64)
-    sat = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=dtype)
-    np.cumsum(plane, axis=0, dtype=dtype, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    return sat[size:, size:] - sat[:-size, size:] - sat[size:, :-size] + sat[:-size, :-size]
+    """Sum of every size x size window, indexed by its top-left corner, for a power-of-two
+    size: each doubling adds two shifted copies along each axis.  Integer planes sum in
+    result_type(dtype, int32), exact while one window's sum fits; box_sums(p, 1) may
+    return p itself.  Any other size raises StructuralError."""
+    if size < 1 or size & (size - 1):
+        raise StructuralError(f"window size must be a power of two, got {size!r}")
+    dtype = np.result_type(plane.dtype, np.int32)
+    sums, h = plane, 1
+    while h < size:
+        sums = np.add(sums[..., h:], sums[..., :-h], dtype=dtype)
+        sums = sums[..., h:, :] + sums[..., :-h, :]
+        h *= 2
+    return sums.astype(dtype, copy=False)
 
 
 def tiles(plane: np.ndarray, n: int) -> np.ndarray:
@@ -216,18 +223,12 @@ def tiles(plane: np.ndarray, n: int) -> np.ndarray:
 
 
 def windows(plane: np.ndarray, n: int) -> np.ndarray:
-    """Every n x n window of a plane, or of each plane of a stack, as a
-    read-only (..., h - n + 1, w - n + 1, n, n) view indexed by the window's
-    top-left corner; what sliding_window_view gives, built with the ndarray
-    constructor at a tenth of its cost.  A non-contiguous plane is copied."""
+    """Every n x n window of a plane, or of each plane of a stack, as numpy's
+    read-only sliding_window_view: (..., h - n + 1, w - n + 1, n, n), indexed
+    by the window's top-left corner."""
     if plane.ndim < 2 or not 1 <= n <= min(plane.shape[-2:]):
         raise StructuralError(f"plane {plane.shape} has no {n}x{n} windows")
-    plane = np.ascontiguousarray(plane)
-    *lead, h, w = plane.shape
-    strides = plane.strides + plane.strides[-2:]
-    view = np.ndarray((*lead, h - n + 1, w - n + 1, n, n), plane.dtype, plane, 0, strides)
-    view.flags.writeable = False
-    return view
+    return sliding_window_view(plane, (n, n), axis=(-2, -1))
 
 
 def _quadrant_size(cb: np.ndarray) -> int:

@@ -12,7 +12,7 @@ sum over them of |sum(current) - sum(reference)| is a lower bound on the
 SAD, and a finer split gives a tighter bound.  The levels, coarse to fine:
 
 1. 4x4 sums, for every candidate of the window at once, from the frame's
-   summed-area table.
+   4x4 window sums, made by doubling (`frames.box_sums`).
 2. 2x2 sums, gathered for the candidates that pass level 1.  They are built
    for the frame on first need, and a CU takes its own from the block.  A
    CU descends to this level only when its survivors are many enough that
@@ -84,7 +84,7 @@ class _Reference:
         self.sub = math.gcd(size, SUB_BLOCK)
         self.plane = np.ascontiguousarray(reference, dtype=np.int32)
         span = size - self.sub + 1
-        sums = box_sums(self.plane, self.sub).astype(np.int32)
+        sums = box_sums(self.plane, self.sub)
         self.windows = windows(self.plane, size)
         self.window_sums = windows(sums, span)[:, :, :: self.sub, :: self.sub]
 
@@ -95,10 +95,8 @@ class _Reference:
     @cached_property
     def pair_windows(self) -> np.ndarray:
         """The 2x2 sub-block sums of every window, built on first need."""
-        pairs = self.plane[:, 1:] + self.plane[:, :-1]
-        pairs = pairs[1:] + pairs[:-1]
         span = self.windows.shape[-1] - 1
-        return windows(pairs, span)[:, :, ::2, ::2]
+        return windows(box_sums(self.plane, 2), span)[:, :, ::2, ::2]
 
     def search(self, block, sums, x, y, search_range, seeds=()) -> tuple[int, int]:
         """The minimum-SAD (vx, vy) of the block at (x, y); the SADs of (0, 0),
@@ -123,9 +121,7 @@ class _Reference:
         iy += top
         ix += left
         if self.sub == SUB_BLOCK and iy.size * block.size > DESCEND_SAMPLES:
-            pair_sums = block[::2] + block[1::2]
-            pair_sums = pair_sums[:, ::2] + pair_sums[:, 1::2]
-            keep = _sads(self.pair_windows[iy, ix], pair_sums) <= threshold
+            keep = _sads(self.pair_windows[iy, ix], box_sums(block, 2)[::2, ::2]) <= threshold
             iy, ix = iy[keep], ix[keep]
         sads = _sads(self.windows[iy, ix], block)
         best = np.flatnonzero(sads == sads.min())

@@ -227,13 +227,14 @@ def reference_encode(frames, config, stats):
         recon = {ch: np.zeros_like(orig[ch]) for ch in PLANE_ORDER}
         intra = idx % config.gop_length == 0
         motion = None if intra else fstat.motion
+        vectors = motion.vectors if motion else None
         writer.write_uint(0 if intra else 1, 1)
 
         for cu_index, cu in enumerate(tree):
             cu_cbs = fstat.cb[n * cu_index : n * (cu_index + 1)]
             for cb in cu_cbs:
                 writer.write_uint(cb.qp, QP_FIELD_BITS)
-            mv = motion.vectors[cu_index] if motion else None
+            mv = vectors[cu_index] if motion else None
             if motion:
                 writer.write_se(mv.vx)
                 writer.write_se(mv.vy)

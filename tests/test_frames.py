@@ -328,10 +328,11 @@ def _brute_box_sums(plane, size):
     return out
 
 
-@pytest.mark.parametrize("size", [1, 4, 8])
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
 @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (21, 10)])
 @pytest.mark.parametrize("dtype,top", [
-    (np.uint8, 255), (np.uint16, 1023), (np.int32, 2**31 - 1), (np.float64, 1.0),
+    (np.uint8, 255), (np.uint16, 1023), (np.int32, 2**24), (np.int32, 2**31 - 1),
+    (np.float64, 1.0),
 ])
 def test_box_sums_match_brute_force(size, shape, dtype, top):
     rng = np.random.default_rng(size * 100 + shape[0] * 10 + shape[1])
@@ -340,6 +341,8 @@ def test_box_sums_match_brute_force(size, shape, dtype, top):
     else:
         lo = -top - 1 if dtype is np.int32 else 0
         plane = rng.integers(lo, top, shape, endpoint=True).astype(dtype)
+        if top == 2**31 - 1:            # its window sums overflow int32
+            plane = plane.astype(np.int64)
     sums = box_sums(plane, size)
     expected = _brute_box_sums(plane, size)
     assert sums.shape == expected.shape
@@ -347,8 +350,14 @@ def test_box_sums_match_brute_force(size, shape, dtype, top):
         assert sums.dtype == np.float64
         np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-12)
     else:
-        assert sums.dtype == np.int64
+        assert sums.dtype == (np.int64 if plane.dtype == np.int64 else np.int32)
         assert np.array_equal(sums, expected)
+
+
+@pytest.mark.parametrize("size", [0, 3, 6])
+def test_box_sums_reject_a_size_not_a_power_of_two(size):
+    with pytest.raises(StructuralError):
+        box_sums(np.zeros((8, 8), dtype=np.int32), size)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
